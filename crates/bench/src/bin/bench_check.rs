@@ -1,7 +1,7 @@
 //! CI benchmark-regression gate: compare fresh `--quick` bench runs
 //! against the committed `BENCH_*.json` baselines and fail on >25%
 //! throughput regression or **any** off-chip-bits increase.
-//! Skip-and-flag entries (e.g. threaded configs on a 1-core host) are
+//! Skip-and-flag entries (e.g. multi-worker configs on a 1-core host) are
 //! exempt — see [`bconv_bench::check`] for the exact rules. Every
 //! exemption is listed in a dedicated summary block at the end of the run,
 //! so a skipped parallel config is visible in CI output rather than a

@@ -82,8 +82,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let b = Session::builder()
                 .network(w.net.clone())
                 .pattern(BlockingPattern::hierarchical(2))
-                .seed(2018)
-                .threads(1);
+                .seed(2018);
             if accel {
                 // The AccelCost twin of the element budget: same
                 // intermediate capacity in bits, a generous extra buffer

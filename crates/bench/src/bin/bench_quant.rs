@@ -79,8 +79,7 @@ fn build(net: &Network, cfg: &Config) -> Result<Session, TensorError> {
         None => Backend::Blocked,
         Some((w, a)) => Backend::Quantized { weight_bits: w, act_bits: a },
     };
-    let mut b: SessionBuilder =
-        Session::builder().network(net.clone()).backend(backend).seed(2018).threads(1);
+    let mut b: SessionBuilder = Session::builder().network(net.clone()).backend(backend).seed(2018);
     if !cfg.blocked {
         // Direct schedule: no blocking, every conv a whole-map segment
         // (dense QConv2d on the quantized backend).

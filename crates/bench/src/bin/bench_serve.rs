@@ -15,13 +15,11 @@
 //! floor of 1.0 on like hosts. A `serve_metrics` row per backend
 //! (completed/shed counts, dispatch histogram totals, p50/p99 latency)
 //! comes from the engine's own counters.
-//! Sessions are built with `.threads(1)` so the scaling axis is the
-//! engine's worker pool, not intra-request block dispatch.
 //!
 //! On a 1-core host the multi-worker configs cannot run in parallel:
 //! reporting their (contention-only) timings reads as a serving
 //! regression, so they are skipped and flagged in the JSON — the same
-//! convention as `bench_kernels`' `*_tN` configs.
+//! convention `bench_check` applies to every `*_skipped` flag.
 //!
 //! Every benchmarked request's output is checked bitwise against a
 //! serial `Session::run` oracle: the scheduling claims of the serving
@@ -97,7 +95,7 @@ struct MetricsRow {
 }
 
 fn build(backend: Backend) -> Result<Session, TensorError> {
-    Session::builder().network(vgg16_small(32)).backend(backend).seed(2018).threads(1).build()
+    Session::builder().network(vgg16_small(32)).backend(backend).seed(2018).build()
 }
 
 fn stream_input(stream: usize) -> Tensor {
@@ -118,7 +116,7 @@ fn amort_net() -> Network {
 }
 
 fn build_amort(backend: Backend) -> Result<Session, TensorError> {
-    Session::builder().network(amort_net()).backend(backend).seed(2018).threads(1).build()
+    Session::builder().network(amort_net()).backend(backend).seed(2018).build()
 }
 
 fn amort_input(i: usize) -> Tensor {
@@ -178,8 +176,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let amort_batch = 8usize;
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // 1-core hosts cannot show multi-stream speedup; skip and flag, as
-    // bench_kernels does for its threaded configs.
+    // 1-core hosts cannot show multi-stream speedup; skip and flag.
     let multi_stream_configs_skipped = avail == 1;
     let worker_counts: Vec<usize> =
         if multi_stream_configs_skipped { vec![1] } else { vec![1, 2, 4, 8] };
@@ -339,7 +336,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"serve\",\n");
     json.push_str("  \"network\": \"vgg16_small\",\n");
-    json.push_str("  \"session_threads\": 1,\n");
     json.push_str(&format!("  \"requests_per_stream\": {per_stream},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"available_parallelism\": {avail},\n"));

@@ -34,9 +34,9 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message (with byte offset) on malformed
-    /// input or trailing garbage.
+    /// input, trailing garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(src: &str) -> Result<Self, String> {
-        let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -87,9 +87,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Bench files nest
+/// three levels deep; the limit keeps a corrupt file from exhausting the
+/// stack of the recursive parser.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +136,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -269,7 +283,7 @@ pub enum FindingKind {
     /// it — fails the gate (silent coverage loss).
     MissingEntry,
     /// A baseline entry was skipped-and-flagged by the fresh run (e.g.
-    /// threaded configs on a 1-core host) — exempt, reported for
+    /// multi-worker configs on a 1-core host) — exempt, reported for
     /// visibility.
     Skipped,
 }
@@ -330,7 +344,7 @@ fn entry_key(entry: &Json) -> String {
 }
 
 /// True when the fresh run declared any top-level `*_skipped` flag (the
-/// skip-and-flag convention of `bench_kernels`/`bench_serve` on hosts that
+/// skip-and-flag convention of `bench_serve` on hosts that
 /// cannot run a configuration meaningfully).
 fn fresh_declares_skips(fresh: &Json) -> bool {
     match fresh {
@@ -345,10 +359,7 @@ fn fresh_declares_skips(fresh: &Json) -> bool {
 /// a host-capability skip flag can legitimately excuse. Serial entries
 /// going missing is coverage loss no matter what the fresh run skipped.
 fn entry_is_parallel(entry: &Json) -> bool {
-    ["threads_requested", "workers_requested"]
-        .iter()
-        .filter_map(|k| entry.get(k).and_then(Json::as_f64))
-        .any(|n| n > 1.0)
+    entry.get("workers_requested").and_then(Json::as_f64).is_some_and(|n| n > 1.0)
 }
 
 /// Compares a fresh bench document against its baseline.
@@ -560,6 +571,16 @@ mod tests {
     }
 
     #[test]
+    fn parser_rejects_nesting_beyond_the_depth_limit() {
+        let deep = "[".repeat(1_000_000);
+        assert!(Json::parse(&deep).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
         let j = Json::parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(j.as_str(), Some("a\"b\\c\ndA"));
@@ -613,23 +634,23 @@ mod tests {
 
     #[test]
     fn skip_and_flag_entries_are_exempt() {
-        let base = doc(r#"{"name": "gemm_tN", "threads_requested": 8, "median_us": 50.0}"#, "");
+        let base = doc(r#"{"backend": "blocked", "workers_requested": 8, "min_us": 50.0}"#, "");
         // Missing without a skip flag: coverage loss, fails.
-        let missing = doc(r#"{"name": "direct_t1", "median_us": 10.0}"#, "");
+        let missing = doc(r#"{"backend": "blocked", "workers_requested": 1, "min_us": 9.0}"#, "");
         let f = check_bench("t", &base, &missing, 25.0);
         assert_eq!(f[0].kind, FindingKind::MissingEntry);
         assert!(f[0].kind.is_failure());
         // Missing parallel config under a declared top-level skip: exempt.
         let skipped = doc(
-            r#"{"name": "direct_t1", "median_us": 10.0}"#,
-            ", \"threaded_configs_skipped\": true",
+            r#"{"backend": "blocked", "workers_requested": 1, "min_us": 9.0}"#,
+            ", \"multi_stream_configs_skipped\": true",
         );
         let f = check_bench("t", &base, &skipped, 25.0);
         assert_eq!(f[0].kind, FindingKind::Skipped);
         assert!(!f[0].kind.is_failure());
         // Per-entry skip flag: exempt even if slower.
         let entry_skip = doc(
-            r#"{"name": "gemm_tN", "threads_requested": 8, "median_us": 500.0, "skipped": true}"#,
+            r#"{"backend": "blocked", "workers_requested": 8, "min_us": 500.0, "skipped": true}"#,
             "",
         );
         let f = check_bench("t", &base, &entry_skip, 25.0);
@@ -639,11 +660,11 @@ mod tests {
     #[test]
     fn skip_flags_cannot_excuse_missing_serial_entries() {
         // A top-level host-capability skip must not silence the loss of a
-        // serial (threads/workers = 1) config.
-        let base = doc(r#"{"name": "gemm_t1", "threads_requested": 1, "median_us": 50.0}"#, "");
+        // serial (workers = 1) config.
+        let base = doc(r#"{"backend": "blocked", "workers_requested": 1, "min_us": 50.0}"#, "");
         let fresh = doc(
-            r#"{"name": "direct_t1", "threads_requested": 1, "median_us": 10.0}"#,
-            ", \"threaded_configs_skipped\": true",
+            r#"{"backend": "quantized", "workers_requested": 1, "min_us": 10.0}"#,
+            ", \"multi_stream_configs_skipped\": true",
         );
         let f = check_bench("t", &base, &fresh, 25.0);
         assert_eq!(f[0].kind, FindingKind::MissingEntry);

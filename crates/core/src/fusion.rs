@@ -22,6 +22,11 @@ use bconv_tensor::{Tensor, TensorError};
 use crate::block_conv::{BlockConv2d, BlockConvScratch};
 use crate::blocking::BlockGrid;
 
+/// The error for any `threads` argument other than 1: block walks always
+/// run serially on the calling thread.
+const THREADS_MUST_BE_ONE: &str =
+    "run_fused_into: threads must be 1 (blocks run serially on the calling thread)";
+
 /// One operation in a fusion group.
 ///
 /// Convolution weights are held behind an [`Arc`]: planning a chain from
@@ -94,7 +99,7 @@ enum Stage {
 /// CPU-side kernel temporaries (the padded block, the im2col patch
 /// matrix of [`bconv_tensor::kernel`]) are execution details of *this*
 /// reference implementation and are excluded, as is weight storage.
-/// Both fields are scheduling-invariant: identical for any worker-thread
+/// Both fields are scheduling-invariant: identical for any serve-worker
 /// count and any kernel choice.
 ///
 /// Element counts are bitwidth-agnostic; `bits_per_elem` records the word
@@ -131,7 +136,7 @@ impl MemStats {
     }
 }
 
-/// Reusable per-worker buffers for block-by-block chain execution: the
+/// Reusable per-caller buffers for block-by-block chain execution: the
 /// ping-pong block pair (Figure 10's intermediate buffers) plus the
 /// convolution temporaries. Buffers grow to the largest block seen and
 /// are reused across blocks and chain stages — steady-state fused
@@ -513,8 +518,9 @@ impl FusedChain {
     /// Runs a single block `(row, col)` of `input` through every stage of
     /// the chain, reusing `scratch` for all intermediates; the result is
     /// left in [`BlockScratch::output`]. Blocks are independent by
-    /// construction (paper §II-C), so callers may invoke this from
-    /// multiple threads — one scratch per thread — in any order.
+    /// construction (paper §II-C), so callers may run them in any order;
+    /// [`run_fused_into`](Self::run_fused_into) walks them row-major on
+    /// the calling thread.
     ///
     /// `stats` accumulates the per-block working-set peak; off-chip
     /// traffic is accounted by the caller at the chain boundary.
@@ -570,56 +576,39 @@ impl FusedChain {
     }
 
     /// Executes the group block-by-block (*fused* dataflow): only the input
-    /// and the group output cross the off-chip boundary.
+    /// and the group output cross the off-chip boundary. [`MemStats`] are
+    /// exact: off-chip traffic is the group input + output and the
+    /// working-set peak is a max over blocks.
     ///
     /// # Errors
     ///
     /// Returns shape errors if `input` does not match the planned grid.
     pub fn run_fused(&self, input: &Tensor) -> Result<(Tensor, MemStats), TensorError> {
-        self.run_fused_threads(input, 1)
-    }
-
-    /// [`run_fused`](Self::run_fused) with the blocks dispatched across
-    /// `threads` scoped worker threads (clamped to the block count; `<= 1`
-    /// runs serially). Blocks are independent by construction and write
-    /// disjoint output regions, so every block runs the same per-block
-    /// routine as the serial path, each worker reuses one [`BlockScratch`]
-    /// across its contiguous chunk, and the output is **bitwise identical
-    /// at any thread count**. [`MemStats`] stay exact: off-chip traffic is
-    /// the group input + output and the working-set peak is a max over
-    /// blocks — both scheduling-invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `input` does not match the planned grid.
-    pub fn run_fused_threads(
-        &self,
-        input: &Tensor,
-        threads: usize,
-    ) -> Result<(Tensor, MemStats), TensorError> {
         let mut out = Tensor::default();
         let mut scratch = BlockScratch::new();
-        let stats = self.run_fused_into(input, threads, &mut out, &mut scratch)?;
+        let stats = self.run_fused_into(input, 1, &mut out, &mut scratch)?;
         Ok((out, stats))
     }
 
-    /// [`run_fused_threads`](Self::run_fused_threads) into caller-owned
-    /// buffers — the serving-path primitive. `out` is reshaped to the
-    /// group's output map and every element is overwritten (the output
-    /// grid tiles it exactly); on the serial path `scratch` carries all
-    /// block intermediates, so a caller that reuses both across requests
-    /// performs **zero steady-state allocation** per run. The chain is
-    /// batch-aware: inputs may carry any batch size `n` (coalesced
-    /// requests run as one map), block buffers simply grow with `n` the
-    /// first time and are handed back through `scratch` for the next run.
+    /// [`run_fused`](Self::run_fused) into caller-owned buffers — the
+    /// serving-path primitive. `out` is reshaped to the group's output map
+    /// and every element is overwritten (the output grid tiles it exactly);
+    /// `scratch` carries all block intermediates, so a caller that reuses
+    /// both across requests performs **zero steady-state allocation** per
+    /// run. The chain is batch-aware: inputs may carry any batch size `n`
+    /// (coalesced requests run as one map), block buffers simply grow with
+    /// `n` the first time and are handed back through `scratch` for the
+    /// next run.
     ///
-    /// With `threads > 1` each scoped worker owns a private scratch for
-    /// the duration of the call (`scratch` is bypassed — per-worker
-    /// buffers cannot outlive the scope).
+    /// Blocks run serially on the calling thread; parallelism comes from
+    /// serving many requests at once (serve workers and router replicas).
+    /// `threads` must be `1`. It remains only so existing callers keep
+    /// compiling, and the next benchmark change removes it.
     ///
     /// # Errors
     ///
-    /// Returns shape errors if `input` does not match the planned grid.
+    /// Returns [`TensorError::InvalidParameter`] when `threads != 1`, and
+    /// shape errors if `input` does not match the planned grid.
     pub fn run_fused_into(
         &self,
         input: &Tensor,
@@ -627,6 +616,9 @@ impl FusedChain {
         out: &mut Tensor,
         scratch: &mut BlockScratch,
     ) -> Result<MemStats, TensorError> {
+        if threads != 1 {
+            return Err(TensorError::invalid(THREADS_MUST_BE_ONE));
+        }
         let [n, c, h, w] = input.shape().dims();
         if h != self.in_grid.h() || w != self.in_grid.w() {
             return Err(TensorError::shape_mismatch(
@@ -643,63 +635,15 @@ impl FusedChain {
             bits_per_elem: self.act_bits().unwrap_or(32),
         };
         // Blocks are walked row-major by linear index — never materialised
-        // as a list, so the serial (serving) path below performs zero
-        // steady-state allocation (gated by `bconv-analyze` lint L1 and
-        // the alloc-gate test).
+        // as a list, so a run performs zero steady-state allocation (gated
+        // by `bconv-analyze` lint L1 and the alloc-gate test).
         let cols = self.in_grid.num_cols();
-        let num_blocks = self.in_grid.num_rows() * cols;
-        let workers = threads.min(num_blocks).max(1);
-
-        if workers <= 1 {
-            // The caller's scratch serves every block and stage of the run.
-            for i in 0..num_blocks {
-                let (row, col) = (i / cols, i % cols);
-                self.run_block_scratch(input, row, col, scratch, &mut stats)?;
-                let ob = self.out_grid.block(row, col);
-                out.paste(scratch.output(), ob.h0, ob.w0)?;
-            }
-            return Ok(stats);
+        for i in 0..self.in_grid.num_rows() * cols {
+            let (row, col) = (i / cols, i % cols);
+            self.run_block_scratch(input, row, col, scratch, &mut stats)?;
+            let ob = self.out_grid.block(row, col);
+            out.paste(scratch.output(), ob.h0, ob.w0)?;
         }
-
-        // Static contiguous partition; workers paste their (disjoint)
-        // output blocks under a short-held lock, so no per-block result
-        // tensors are materialised and the outcome cannot depend on
-        // timing.
-        let chunk = num_blocks.div_ceil(workers);
-        let out_slot = std::sync::Mutex::new(out);
-        std::thread::scope(|scope| -> Result<(), TensorError> {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (start, end) = (w * chunk, ((w + 1) * chunk).min(num_blocks));
-                if start >= end {
-                    break;
-                }
-                let out_slot = &out_slot;
-                handles.push(scope.spawn(move || -> Result<MemStats, TensorError> {
-                    let mut scratch = BlockScratch::new();
-                    let mut local = MemStats::default();
-                    for i in start..end {
-                        let (row, col) = (i / cols, i % cols);
-                        self.run_block_scratch(input, row, col, &mut scratch, &mut local)?;
-                        let ob = self.out_grid.block(row, col);
-                        // Poison-tolerant: pastes are disjoint, and a peer
-                        // panic is surfaced as a typed error at join below
-                        // (the partial output is discarded with it).
-                        let mut guard =
-                            out_slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.paste(scratch.output(), ob.h0, ob.w0)?;
-                    }
-                    Ok(local)
-                }));
-            }
-            for handle in handles {
-                let local = handle
-                    .join()
-                    .map_err(|_| TensorError::invalid("fused-chain block worker panicked"))??;
-                stats.peak_working_elems = stats.peak_working_elems.max(local.peak_working_elems);
-            }
-            Ok(())
-        })?;
         Ok(stats)
     }
 
@@ -842,45 +786,31 @@ impl FusedPipeline {
     ///
     /// Propagates per-group execution errors.
     pub fn run_fused(&self, input: &Tensor) -> Result<(Tensor, MemStats), TensorError> {
-        self.run_fused_threads(input, 1)
-    }
-
-    /// [`run_fused`](Self::run_fused) with each group's blocks dispatched
-    /// across `threads` scoped workers (see
-    /// [`FusedChain::run_fused_threads`]): groups still run in order — the
-    /// splice is a sequencing point — so the output is bitwise identical
-    /// at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-group execution errors.
-    pub fn run_fused_threads(
-        &self,
-        input: &Tensor,
-        threads: usize,
-    ) -> Result<(Tensor, MemStats), TensorError> {
         let mut out = Tensor::default();
         let mut scratch = PipelineScratch::new();
-        let stats = self.run_fused_into(input, threads, &mut out, &mut scratch)?;
+        let stats = self.run_fused_into(input, 1, &mut out, &mut scratch)?;
         Ok((out, stats))
     }
 
-    /// [`run_fused_threads`](Self::run_fused_threads) into caller-owned
-    /// buffers: `out` receives the final group's output and `scratch`
-    /// carries the per-block intermediates plus the two alternating
-    /// group-boundary maps (the accelerator's extra buffer), so a caller
-    /// that reuses both performs no steady-state allocation.
+    /// [`run_fused`](Self::run_fused) into caller-owned buffers: `out`
+    /// receives the final group's output and `scratch` carries the
+    /// per-block intermediates plus the two alternating group-boundary maps
+    /// (the accelerator's extra buffer), so a caller that reuses both
+    /// performs no steady-state allocation.
     ///
-    /// [`MemStats`] stay exact and scheduling-invariant: off-chip traffic
-    /// is the pipeline input + final output only, and the working-set peak
-    /// adds the on-chip boundary maps alive around each group (its source
-    /// map unless that is the off-chip input, and its destination map
-    /// unless that is the off-chip output) to the group's own ping-pong
-    /// block peak.
+    /// [`MemStats`] stay exact: off-chip traffic is the pipeline input +
+    /// final output only, and the working-set peak adds the on-chip
+    /// boundary maps alive around each group (its source map unless that is
+    /// the off-chip input, and its destination map unless that is the
+    /// off-chip output) to the group's own ping-pong block peak.
+    ///
+    /// `threads` must be `1`, as for [`FusedChain::run_fused_into`]; the
+    /// next benchmark change removes the argument.
     ///
     /// # Errors
     ///
-    /// Propagates per-group execution errors; an empty pipeline is
+    /// Returns [`TensorError::InvalidParameter`] when `threads != 1`;
+    /// propagates per-group execution errors; an empty pipeline is
     /// rejected (it has no output map to produce).
     pub fn run_fused_into(
         &self,
@@ -889,6 +819,9 @@ impl FusedPipeline {
         out: &mut Tensor,
         scratch: &mut PipelineScratch,
     ) -> Result<MemStats, TensorError> {
+        if threads != 1 {
+            return Err(TensorError::invalid(THREADS_MUST_BE_ONE));
+        }
         let Some(last) = self.groups.len().checked_sub(1) else {
             return Err(TensorError::invalid("cannot run an empty FusedPipeline"));
         };
@@ -903,10 +836,10 @@ impl FusedPipeline {
             // group's boundary map (in `ping`) afterwards. Destination: the
             // caller's output for the last group, `pong` otherwise.
             let gs = match (idx == 0, idx == last) {
-                (true, true) => group.run_fused_into(input, threads, out, block)?,
-                (true, false) => group.run_fused_into(input, threads, pong, block)?,
-                (false, true) => group.run_fused_into(ping, threads, out, block)?,
-                (false, false) => group.run_fused_into(ping, threads, pong, block)?,
+                (true, true) => group.run_fused_into(input, 1, out, block)?,
+                (true, false) => group.run_fused_into(input, 1, pong, block)?,
+                (false, true) => group.run_fused_into(ping, 1, out, block)?,
+                (false, false) => group.run_fused_into(ping, 1, pong, block)?,
             };
             let src_elems = if idx == 0 { 0 } else { ping.shape().numel() };
             let dst_elems = if idx == last { 0 } else { pong.shape().numel() };
@@ -1110,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_scratch_execution_is_thread_invariant() {
+    fn pipeline_scratch_reuse_is_bitwise_stable() {
         let g1_grid = BlockGrid::from_pattern(16, 16, BlockingPattern::fixed(4)).unwrap();
         let g1 = FusedChain::plan(
             vec![ChainOp::conv(conv(1, 2, 71)), ChainOp::MaxPool { k: 2 }],
@@ -1125,13 +1058,30 @@ mod tests {
         let input = uniform_tensor([1, 1, 16, 16], -1.0, 1.0, &mut seeded_rng(73));
         let (serial, ss) = pipeline.run_fused(&input).unwrap();
         let mut scratch = PipelineScratch::new();
-        for threads in [1usize, 2, 8] {
+        for run in 0..3 {
             let mut out = Tensor::default();
-            // Reusing one scratch across runs and thread counts must not
-            // leak state into outputs or stats.
-            let stats = pipeline.run_fused_into(&input, threads, &mut out, &mut scratch).unwrap();
-            assert_eq!(out.data(), serial.data(), "threads={threads}");
-            assert_eq!(stats, ss, "threads={threads}");
+            // Reusing one scratch across runs must not leak state into
+            // outputs or stats.
+            let stats = pipeline.run_fused_into(&input, 1, &mut out, &mut scratch).unwrap();
+            assert_eq!(out.data(), serial.data(), "run {run}");
+            assert_eq!(stats, ss, "run {run}");
+        }
+    }
+
+    #[test]
+    fn run_fused_into_rejects_threads_other_than_one() {
+        let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
+        let chain =
+            FusedChain::plan(vec![ChainOp::conv(conv(1, 1, 74))], grid, PadMode::Zero).unwrap();
+        let pipeline = FusedPipeline::new(vec![chain.clone()]).unwrap();
+        let input = uniform_tensor([1, 1, 8, 8], -1.0, 1.0, &mut seeded_rng(75));
+        let mut out = Tensor::default();
+        for threads in [0usize, 2] {
+            let err = chain.run_fused_into(&input, threads, &mut out, &mut BlockScratch::new());
+            assert!(matches!(err, Err(TensorError::InvalidParameter { .. })), "{err:?}");
+            let err =
+                pipeline.run_fused_into(&input, threads, &mut out, &mut PipelineScratch::new());
+            assert!(matches!(err, Err(TensorError::InvalidParameter { .. })), "{err:?}");
         }
     }
 

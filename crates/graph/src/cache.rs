@@ -112,10 +112,16 @@ impl Json {
     }
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse_json`] accepts. Plan files nest
+/// about six levels deep; the limit keeps a corrupt file from exhausting
+/// the stack of the recursive parser.
+const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing garbage and nesting
+/// deeper than [`MAX_JSON_DEPTH`].
 pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let (value, mut pos) = parse_value(bytes, 0)?;
+    let (value, mut pos) = parse_value(bytes, 0, 0)?;
     pos = skip_ws(bytes, pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -130,11 +136,14 @@ fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn parse_value(bytes: &[u8], pos: usize) -> Result<(Json, usize), String> {
+fn parse_value(bytes: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let pos = skip_ws(bytes, pos);
+    if matches!(bytes.get(pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"));
+    }
     match bytes.get(pos) {
-        Some(b'{') => parse_object(bytes, pos + 1),
-        Some(b'[') => parse_array(bytes, pos + 1),
+        Some(b'{') => parse_object(bytes, pos + 1, depth + 1),
+        Some(b'[') => parse_array(bytes, pos + 1, depth + 1),
         Some(b'"') => {
             let (s, next) = parse_string(bytes, pos + 1)?;
             Ok((Json::Str(s), next))
@@ -209,14 +218,14 @@ fn parse_string(bytes: &[u8], mut pos: usize) -> Result<(String, usize), String>
     }
 }
 
-fn parse_array(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
+fn parse_array(bytes: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let mut items = Vec::new();
     pos = skip_ws(bytes, pos);
     if bytes.get(pos) == Some(&b']') {
         return Ok((Json::Arr(items), pos + 1));
     }
     loop {
-        let (value, next) = parse_value(bytes, pos)?;
+        let (value, next) = parse_value(bytes, pos, depth)?;
         items.push(value);
         pos = skip_ws(bytes, next);
         match bytes.get(pos) {
@@ -227,7 +236,7 @@ fn parse_array(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
     }
 }
 
-fn parse_object(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
+fn parse_object(bytes: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let mut pairs = Vec::new();
     pos = skip_ws(bytes, pos);
     if bytes.get(pos) == Some(&b'}') {
@@ -243,7 +252,7 @@ fn parse_object(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
         if bytes.get(pos) != Some(&b':') {
             return Err(format!("expected ':' at offset {pos}"));
         }
-        let (value, next) = parse_value(bytes, pos + 1)?;
+        let (value, next) = parse_value(bytes, pos + 1, depth)?;
         pairs.push((key, value));
         pos = skip_ws(bytes, next);
         match bytes.get(pos) {

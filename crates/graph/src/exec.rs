@@ -364,39 +364,26 @@ pub(crate) fn release_used(
 
 /// Blocked/fused backend: executes an [`ExecPlan`], streaming fusion
 /// groups block-by-block so their intermediates never cross the off-chip
-/// boundary. Blocks of a fusion group are spatially independent by
-/// construction (paper §II-C), so with `threads > 1` they are dispatched
-/// across scoped worker threads, each with its own scratch buffers;
-/// outputs are bitwise-identical at any thread count.
+/// boundary. Blocks run serially on the calling thread; to use more cores,
+/// serve many requests at once through [`crate::serve::ServeEngine`]
+/// workers or [`crate::serve::router::Router`] replicas.
 #[derive(Debug, Clone)]
 pub struct BlockedExecutor {
     graph: Arc<Graph>,
     plan: Arc<ExecPlan>,
-    threads: usize,
 }
 
 impl BlockedExecutor {
-    /// Compiles a single-threaded backend from a graph and a planned
-    /// segment list. The plan is shared, not cloned; its `FusedChain`
-    /// stages in turn share the graph's `Arc<Conv2d>` weights.
+    /// Compiles the backend from a graph and a planned segment list. The
+    /// plan is shared, not cloned; its `FusedChain` stages in turn share
+    /// the graph's `Arc<Conv2d>` weights.
     pub fn new(graph: Arc<Graph>, plan: Arc<ExecPlan>) -> Self {
-        Self::with_threads(graph, plan, 1)
-    }
-
-    /// [`new`](Self::new) with an explicit worker-thread count for block
-    /// dispatch (`0` is treated as `1`).
-    pub fn with_threads(graph: Arc<Graph>, plan: Arc<ExecPlan>, threads: usize) -> Self {
-        Self { graph, plan, threads: threads.max(1) }
+        Self { graph, plan }
     }
 
     /// The compiled plan.
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
-    }
-
-    /// Worker threads used for block dispatch.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -419,30 +406,23 @@ impl Executor for BlockedExecutor {
                  use the quantized backend"
             )));
         }
-        run_plan(
-            &self.graph,
-            &self.plan,
-            self.threads,
-            32,
-            input,
-            scratch,
-            |_, node, in_t, aux, out, s| eval_node_into(&node.op, in_t, aux, out, s),
-        )
+        run_plan(&self.graph, &self.plan, 32, input, scratch, |_, node, in_t, aux, out, s| {
+            eval_node_into(&node.op, in_t, aux, out, s)
+        })
     }
 }
 
 /// The segment-loop shared by the blocked and quantized backends: fused
-/// segments run their chains block-by-block across `threads` workers,
-/// whole-map nodes go through `eval_single` (the only point where the
-/// backends differ — the quantized backend substitutes `QConv2d` for conv
-/// nodes there). All [`MemStats`] accounting conventions — peak-working
-/// tracking, the write + read-back rule for non-final segment outputs, the
+/// segments run their chains block-by-block, whole-map nodes go through
+/// `eval_single` (the only point where the backends differ — the
+/// quantized backend substitutes `QConv2d` for conv nodes there). All
+/// [`MemStats`] accounting conventions — peak-working tracking, the
+/// write + read-back rule for non-final segment outputs, the
 /// in-place-ReLU exemption — live here once, so the two backends cannot
 /// drift apart. All mutable run state draws from `scratch`.
 pub(crate) fn run_plan(
     graph: &Graph,
     plan: &ExecPlan,
-    threads: usize,
     bits_per_elem: u8,
     input: &Tensor,
     scratch: &mut ExecScratch,
@@ -474,7 +454,7 @@ pub(crate) fn run_plan(
         let out_id = match seg {
             Segment::Fused { nodes: ids, chain, input: src } => {
                 let in_t = resolve(values, input, *src)?;
-                let gs = chain.run_fused_into(in_t, threads, &mut out, pipeline.block_mut())?;
+                let gs = chain.run_fused_into(in_t, 1, &mut out, pipeline.block_mut())?;
                 // Per-block buffers are the group's working set; its
                 // input/output traffic is accounted at the segment
                 // boundaries below.
@@ -483,7 +463,7 @@ pub(crate) fn run_plan(
             }
             Segment::Spliced { nodes: ids, pipeline: pipe, input: src } => {
                 let in_t = resolve(values, input, *src)?;
-                let gs = pipe.run_fused_into(in_t, threads, &mut out, pipeline)?;
+                let gs = pipe.run_fused_into(in_t, 1, &mut out, pipeline)?;
                 // Group-boundary maps stayed on chip: they are part of the
                 // pipeline's working-set peak, and the only off-chip
                 // traffic is the segment input/output accounted below.

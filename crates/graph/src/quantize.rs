@@ -91,9 +91,10 @@ impl GraphQuantSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidParameter`] when `inputs` is empty or
-    /// a bitwidth is out of range, and shape errors when a calibration
-    /// input does not match the graph.
+    /// Returns [`TensorError::InvalidParameter`] when `inputs` is empty, a
+    /// bitwidth is out of range, or a calibrated activation range is not
+    /// finite (an input or activation held `±Inf`), and shape errors when a
+    /// calibration input does not match the graph.
     pub fn calibrate(
         graph: &Graph,
         inputs: &[Tensor],
@@ -122,6 +123,16 @@ impl GraphQuantSpec {
                 }
             })?;
         }
+        // An infinite activation anywhere poisons the EMA, and no QParams
+        // can cover an infinite range.
+        for (id, cal) in cals.iter().enumerate() {
+            if cal.as_ref().is_some_and(|c| !c.abs_max().is_finite()) {
+                return Err(TensorError::invalid(format!(
+                    "calibration saw a non-finite activation range at node {}",
+                    graph.nodes()[id].name
+                )));
+            }
+        }
         let act_params =
             cals.iter().map(|c| c.as_ref().and_then(|c| c.finalize_ema(act_bits))).collect();
         CALIBRATION_PASSES.fetch_add(1, Ordering::Relaxed);
@@ -131,12 +142,11 @@ impl GraphQuantSpec {
 
 /// Quantized backend: the blocked/fused schedule with every convolution in
 /// integer arithmetic. Fused segments execute the plan's quantized chains
-/// (block dispatch across worker threads, exactly like the float blocked
-/// backend); whole-map conv segments run dense [`QConv2d`] — through the
-/// integer im2col+GEMM fast path wherever the kernel policy picks it —
-/// with zero outer padding (matching the float reference's geometry
-/// padding); FC nodes run through quantized [`QLinear`]; all other
-/// whole-map ops run float.
+/// block by block, exactly like the float blocked backend; whole-map conv
+/// segments run dense [`QConv2d`] — through the integer im2col+GEMM fast
+/// path wherever the kernel policy picks it — with zero outer padding
+/// (matching the float reference's geometry padding); FC nodes run
+/// through quantized [`QLinear`]; all other whole-map ops run float.
 #[derive(Debug, Clone)]
 pub struct QuantizedExecutor {
     graph: Arc<Graph>,
@@ -149,7 +159,6 @@ pub struct QuantizedExecutor {
     /// id (`None` where weights or calibration leave no integer form — the
     /// node then falls back to float).
     qlinears: Vec<Option<Arc<QLinear>>>,
-    threads: usize,
 }
 
 impl QuantizedExecutor {
@@ -167,7 +176,6 @@ impl QuantizedExecutor {
         graph: Arc<Graph>,
         plan: Arc<ExecPlan>,
         spec: Arc<GraphQuantSpec>,
-        threads: usize,
         policy: KernelPolicy,
     ) -> Result<Self, TensorError> {
         if plan.act_bits() != Some(spec.act_bits) {
@@ -210,7 +218,7 @@ impl QuantizedExecutor {
                 _ => {}
             }
         }
-        Ok(Self { graph, plan, spec, qconvs, qlinears, threads: threads.max(1) })
+        Ok(Self { graph, plan, spec, qconvs, qlinears })
     }
 
     /// The compiled (quantized) plan.
@@ -221,11 +229,6 @@ impl QuantizedExecutor {
     /// The frozen quantization spec.
     pub fn spec(&self) -> &GraphQuantSpec {
         &self.spec
-    }
-
-    /// Worker threads used for block dispatch.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -245,7 +248,6 @@ impl Executor for QuantizedExecutor {
         run_plan(
             &self.graph,
             &self.plan,
-            self.threads,
             self.spec.act_bits,
             input,
             scratch,
@@ -337,12 +339,11 @@ mod tests {
             Arc::clone(&g),
             fplan,
             Arc::clone(&spec),
-            1,
             KernelPolicy::Auto
         )
         .is_err());
         // The matched pair runs.
-        let q = QuantizedExecutor::new(g, qplan, spec, 1, KernelPolicy::Auto).unwrap();
+        let q = QuantizedExecutor::new(g, qplan, spec, KernelPolicy::Auto).unwrap();
         assert!(q.run(&input).is_ok());
     }
 

@@ -95,16 +95,11 @@ use metrics::{MetricsCore, ServeMetrics};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads answering requests; `0` (the default) means
-    /// **auto**: one worker per core not already claimed by the
-    /// session's intra-request block threads
-    /// (`available_parallelism / session.threads()`, at least 1), so the
-    /// two axes compose without oversubscribing the machine. Each worker
-    /// runs one request batch at a time through the shared executor; a
-    /// blocked/quantized session with `threads > 1` additionally fans
-    /// each fused group out across that many scoped threads *inside* the
-    /// worker, so serving deployments typically build the session with
-    /// `.threads(1)` and scale `workers` instead (parallelism across
-    /// requests beats parallelism within one once the queue is busy).
+    /// **auto**: one worker per core (`available_parallelism`). Each
+    /// worker runs one request batch at a time, serially, through the
+    /// shared executor. Workers (and [`Session::into_router`] replicas)
+    /// are the engine's only source of parallelism: a single request never
+    /// spreads across threads.
     pub workers: usize,
     /// Capacity of the bounded request queue, in jobs
     /// ([`ServeEngine::submit`] blocks while it is full). Queued plus
@@ -364,13 +359,9 @@ impl ServeEngine {
     /// Returns [`TensorError::InvalidParameter`] when `config` is invalid.
     pub(crate) fn new(session: Session, config: ServeConfig) -> Result<Self, TensorError> {
         config.validate()?;
-        // Resolve workers = 0 (auto) against the session's intra-request
-        // thread count so the default configs compose to roughly one
-        // runnable thread per core instead of workers x threads.
         let mut config = config;
         if config.workers == 0 {
-            let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-            config.workers = (avail / session.threads().max(1)).max(1);
+            config.workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         }
         let backend = session.backend();
         let (graph, executor) = session.shared_parts();
@@ -1180,7 +1171,7 @@ mod tests {
     }
 
     fn builder() -> SessionBuilder {
-        Session::builder().network(tiny_net()).seed(7).threads(1).relu_after_conv(true)
+        Session::builder().network(tiny_net()).seed(7).relu_after_conv(true)
     }
 
     fn input(seed: u64, n: usize) -> Tensor {
@@ -1202,17 +1193,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_resolves_to_a_sane_auto_pool() {
-        // workers = 0 is auto: sized against the session's intra-request
-        // threads so the default combination cannot oversubscribe
-        // workers x threads. A threads(2) session on any host resolves to
-        // at most ceil(cores / 2) workers, and always at least one.
-        let session = builder().threads(2).build().unwrap();
+    fn zero_workers_resolves_to_one_worker_per_core() {
         let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let engine = session.into_engine(ServeConfig::default()).unwrap();
-        let resolved = engine.config().workers;
-        assert!(resolved >= 1, "auto must yield at least one worker");
-        assert!(resolved <= avail.div_ceil(2), "auto must respect session threads");
+        let engine = builder().build().unwrap().into_engine(ServeConfig::default()).unwrap();
+        assert_eq!(engine.config().workers, avail);
         let t = engine.submit(input(5, 1)).unwrap();
         assert!(engine.wait(t).is_ok());
     }

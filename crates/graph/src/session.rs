@@ -64,8 +64,12 @@ pub enum Backend {
     },
 }
 
-/// Environment variable consulted for the worker-thread count when the
-/// builder does not set one explicitly.
+/// Name of the environment variable that once set the blocked backend's
+/// per-request thread count. The engine no longer reads it: blocks run
+/// serially on the calling thread, and parallelism comes from
+/// [`ServeConfig::workers`] and [`Session::into_router`]. The constant
+/// remains only for callers that still name the variable; the next
+/// benchmark change removes it.
 pub const THREADS_ENV: &str = "BCONV_THREADS";
 
 /// Number of synthesised calibration batches when the quantized backend is
@@ -84,34 +88,6 @@ fn default_calibration(graph: &Graph, seed: u64) -> Vec<Tensor> {
             uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut rng)
         })
         .collect()
-}
-
-/// Resolves the blocked backend's worker-thread count: an explicit
-/// builder setting wins, then a [`THREADS_ENV`] override, then the
-/// machine's available parallelism.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidParameter`] when the requested count is
-/// zero or the environment variable does not parse as a positive integer.
-fn resolve_threads(requested: Option<usize>) -> Result<usize, TensorError> {
-    if let Some(n) = requested {
-        if n == 0 {
-            return Err(TensorError::invalid(
-                "SessionBuilder::threads must be >= 1 (0 worker threads cannot execute)",
-            ));
-        }
-        return Ok(n);
-    }
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        return match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(TensorError::invalid(format!(
-                "{THREADS_ENV}={raw:?} is not a valid thread count; expected an integer >= 1"
-            ))),
-        };
-    }
-    Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The cache-aware planning funnel: on a [`PlanKey`] hit the pinned plan is
@@ -149,7 +125,7 @@ fn plan_or_load(
 
 /// The planning configuration, as one value: everything that decides
 /// *what plan* a session compiles (as opposed to which backend executes
-/// it or how many worker threads run it). [`SessionBuilder::planner`]
+/// it). [`SessionBuilder::planner`]
 /// consumes a spec wholesale; the builder's individual knobs
 /// ([`SessionBuilder::pattern`], [`SessionBuilder::on_chip_budget`],
 /// [`SessionBuilder::cost_model`], …) are thin conveniences writing into
@@ -252,7 +228,6 @@ pub struct SessionBuilder {
     backend: Backend,
     seed: Option<u64>,
     relu_after_conv: bool,
-    threads: Option<usize>,
     calibration: Option<Vec<Tensor>>,
 }
 
@@ -283,7 +258,7 @@ impl SessionBuilder {
     /// Enables per-host autotuning: `build()` runs (or loads, when a
     /// plan cache directory is set, from its per-host winner cache) the
     /// bounded [`mod@crate::tune`] exploration and plans under the winning
-    /// pattern / buffer split / kernel policy / thread count. Knobs set
+    /// pattern / buffer split / kernel policy. Knobs set
     /// explicitly on the builder keep their values. Equivalent to
     /// [`PlanSpec::tuned`].
     pub fn tuned(mut self) -> Self {
@@ -380,15 +355,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the worker-thread count for block dispatch on the blocked
-    /// backend. When unset, the `BCONV_THREADS` environment variable is
-    /// consulted, then the machine's available parallelism. Outputs are
-    /// bitwise-identical at any thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Calibration inputs for the quantized backend's post-training range
     /// calibration (ignored by the float backends). When unset, the build
     /// synthesises [`DEFAULT_CALIBRATION_BATCHES`] seeded uniform batches
@@ -421,7 +387,6 @@ impl SessionBuilder {
             LowerOptions { seed: self.seed.unwrap_or(2018), relu_after_conv: self.relu_after_conv };
         let graph = Arc::new(Graph::lower(&net, &lower_opts)?);
 
-        let mut requested_threads = self.threads;
         let mut provenance = PlanProvenance::Fresh;
         if spec.tuned {
             let topts = TuneOptions {
@@ -444,7 +409,7 @@ impl SessionBuilder {
                 }
             };
             // The winner only fills knobs the caller left at their
-            // defaults — an explicit pattern/model/kernel/thread choice
+            // defaults — an explicit pattern/model/kernel choice
             // on the builder always wins over the tuner.
             if spec.pattern.is_none() {
                 spec.pattern = Some(winner.pattern);
@@ -455,9 +420,6 @@ impl SessionBuilder {
             }
             if spec.kernel == KernelPolicy::default() {
                 spec.kernel = winner.kernel;
-            }
-            if requested_threads.is_none() && std::env::var(THREADS_ENV).is_err() {
-                requested_threads = Some(winner.threads);
             }
             provenance = PlanProvenance::TuneSelected { key };
         }
@@ -487,7 +449,6 @@ impl SessionBuilder {
                 pad,
             )
         });
-        let threads = resolve_threads(requested_threads)?;
         let (exec_plan, executor): (Arc<ExecPlan>, Arc<dyn Executor>) = match self.backend {
             Backend::Reference => {
                 let plan = plan_or_load(
@@ -513,8 +474,7 @@ impl SessionBuilder {
                     None,
                     provenance,
                 )?;
-                let exec =
-                    BlockedExecutor::with_threads(Arc::clone(&graph), Arc::clone(&plan), threads);
+                let exec = BlockedExecutor::new(Arc::clone(&graph), Arc::clone(&plan));
                 (plan, Arc::new(exec))
             }
             Backend::Quantized { weight_bits, act_bits } => {
@@ -536,17 +496,12 @@ impl SessionBuilder {
                     Some(&qspec),
                     provenance,
                 )?;
-                let exec = QuantizedExecutor::new(
-                    Arc::clone(&graph),
-                    Arc::clone(&plan),
-                    qspec,
-                    threads,
-                    kernel,
-                )?;
+                let exec =
+                    QuantizedExecutor::new(Arc::clone(&graph), Arc::clone(&plan), qspec, kernel)?;
                 (plan, Arc::new(exec))
             }
         };
-        Ok(Session { graph, exec_plan, backend: self.backend, threads, kernel, executor })
+        Ok(Session { graph, exec_plan, backend: self.backend, kernel, executor })
     }
 }
 
@@ -560,7 +515,6 @@ pub struct Session {
     graph: Arc<Graph>,
     exec_plan: Arc<ExecPlan>,
     backend: Backend,
-    threads: usize,
     kernel: KernelPolicy,
     executor: Arc<dyn Executor>,
 }
@@ -637,7 +591,6 @@ impl Session {
             graph: Arc::clone(&self.graph),
             exec_plan: Arc::clone(&self.exec_plan),
             backend: self.backend,
-            threads: self.threads,
             kernel: self.kernel,
             executor: Arc::clone(&self.executor),
         }
@@ -676,12 +629,6 @@ impl Session {
     /// The selected backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Worker threads the blocked backend dispatches blocks across (the
-    /// reference backend ignores this).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The conv kernel policy the session was compiled under.
@@ -740,23 +687,20 @@ impl Session {
                 self.graph.nodes().len(),
             ),
             Backend::Blocked => format!(
-                "{} on blocked backend: {} segments, {} fusion groups, blocking ratio {:.0}%, \
-                 {} worker thread(s)\n{}",
+                "{} on blocked backend: {} segments, {} fusion groups, blocking ratio {:.0}%\n{}",
                 self.graph.name(),
                 self.exec_plan.segments().len(),
                 self.exec_plan.fusion_groups(),
                 self.exec_plan.blocking_ratio() * 100.0,
-                self.threads,
                 self.exec_plan.describe(&self.graph),
             ),
             Backend::Quantized { weight_bits, act_bits } => format!(
                 "{} on quantized backend (w{weight_bits}a{act_bits}): {} segments, {} fusion \
-                 groups, blocking ratio {:.0}%, {} worker thread(s)\n{}",
+                 groups, blocking ratio {:.0}%\n{}",
                 self.graph.name(),
                 self.exec_plan.segments().len(),
                 self.exec_plan.fusion_groups(),
                 self.exec_plan.blocking_ratio() * 100.0,
-                self.threads,
                 self.exec_plan.describe(&self.graph),
             ),
         }

@@ -10,8 +10,8 @@
 //!   (§III-B3's organisation and two skewed alternatives);
 //! * **blocking pattern** — hierarchical and fixed grids valid for the
 //!   input resolution, the Fig. 4(a) re-grid axis;
-//! * **kernel policy** and **thread count** — host execution knobs that
-//!   never change numerics, only time.
+//! * **kernel policy** — a host execution knob that never changes
+//!   numerics, only time.
 //!
 //! Every candidate is planned with the real [`crate::plan::Planner`] under
 //! an [`AccelCost`] built from its buffer split, then scored on the accel
@@ -46,8 +46,9 @@ use crate::ir::{Graph, LowerOptions, NodeOp};
 use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment};
 use crate::session::{Backend, Session};
 
-/// Schema version of cached tune winners.
-const WINNER_SCHEMA_VERSION: u64 = 1;
+/// Schema version of cached tune winners, bumped whenever a stored
+/// winner's meaning changes; files of another version load as misses.
+const WINNER_SCHEMA_VERSION: u64 = 2;
 
 /// Cap on measured finalists, keeping trial time bounded no matter how
 /// wide the Pareto front is.
@@ -96,8 +97,6 @@ pub struct TunePoint {
     pub extra_buffer_bits: u64,
     /// Kernel policy name.
     pub kernel: String,
-    /// Worker threads the candidate would run with.
-    pub threads: usize,
     /// Modeled off-chip traffic of the candidate's plan, in bits.
     pub offchip_bits: u64,
     /// Predicted cycles: MACs over the PE count plus the DRAM transfer
@@ -126,8 +125,6 @@ pub struct TuneWinner {
     pub extra_buffer_bits: u64,
     /// Kernel policy.
     pub kernel: KernelPolicy,
-    /// Worker threads.
-    pub threads: usize,
 }
 
 impl TuneWinner {
@@ -152,7 +149,7 @@ pub struct TuneReport {
     pub key: String,
     /// Every explored point, in exploration order. Index 0 is always the
     /// default configuration ([`AccelCost::for_platform`] split, `H2x2`,
-    /// auto kernel, 1 thread).
+    /// auto kernel).
     pub points: Vec<TunePoint>,
     /// Indices into [`Self::points`] of the Pareto front on
     /// `(offchip_bits, predicted_cycles)` — the §IV dominance rule.
@@ -197,14 +194,13 @@ impl TuneReport {
                 };
                 format!(
                     "    {{\"pattern\": \"{}\", \"intermediate_buffer_bits\": {}, \
-                     \"extra_buffer_bits\": {}, \"kernel\": \"{}\", \"threads\": {}, \
-                     \"offchip_bits\": {}, \"predicted_cycles\": {}, \"fusion_groups\": {}, \
-                     \"splices\": {}, \"merge_ready_splices\": {}, \"measured_ms\": {}}}",
+                     \"extra_buffer_bits\": {}, \"kernel\": \"{}\", \"offchip_bits\": {}, \
+                     \"predicted_cycles\": {}, \"fusion_groups\": {}, \"splices\": {}, \
+                     \"merge_ready_splices\": {}, \"measured_ms\": {}}}",
                     p.pattern,
                     p.intermediate_buffer_bits,
                     p.extra_buffer_bits,
                     p.kernel,
-                    p.threads,
                     p.offchip_bits,
                     p.predicted_cycles,
                     p.fusion_groups,
@@ -284,7 +280,6 @@ struct Candidate {
     ib_bits: u64,
     eb_bits: u64,
     kernel: KernelPolicy,
-    threads: usize,
 }
 
 /// Enumerates the bounded joint space, with the §III-B3 default first.
@@ -295,7 +290,6 @@ fn candidates(graph: &Graph, platform: &FpgaPlatform) -> Vec<Candidate> {
         ib_bits: total / 8,
         eb_bits: total / 4,
         kernel: KernelPolicy::Auto,
-        threads: 1,
     };
     let s = graph.input_shape();
     let patterns: Vec<BlockingPattern> = [
@@ -312,20 +306,13 @@ fn candidates(graph: &Graph, platform: &FpgaPlatform) -> Vec<Candidate> {
     // skew. The remainder is always left for weights.
     let splits: [(u64, u64); 3] =
         [(total / 8, total / 4), (total / 16, total * 3 / 8), (total * 3 / 16, total / 8)];
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut thread_cands = vec![1usize];
-    if host_threads > 1 {
-        thread_cands.push(host_threads);
-    }
     let mut out = vec![default];
     for &pattern in &patterns {
         for &(ib_bits, eb_bits) in &splits {
             for kernel in [KernelPolicy::Auto, KernelPolicy::Direct] {
-                for &threads in &thread_cands {
-                    let c = Candidate { pattern, ib_bits, eb_bits, kernel, threads };
-                    if c != default {
-                        out.push(c);
-                    }
+                let c = Candidate { pattern, ib_bits, eb_bits, kernel };
+                if c != default {
+                    out.push(c);
                 }
             }
         }
@@ -356,7 +343,6 @@ fn score(
         intermediate_buffer_bits: c.ib_bits,
         extra_buffer_bits: c.eb_bits,
         kernel: c.kernel.name().to_string(),
-        threads: c.threads,
         offchip_bits,
         predicted_cycles,
         fusion_groups: plan.fusion_groups(),
@@ -427,7 +413,6 @@ pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, Ten
             intermediate_buffer_bits: w.ib_bits,
             extra_buffer_bits: w.eb_bits,
             kernel: w.kernel,
-            threads: w.threads,
         },
     })
 }
@@ -479,7 +464,6 @@ pub fn tune(net: &Network, opts: &TuneOptions) -> Result<TuneReport, TensorError
                 .pattern(pattern)
                 .cost_model(model)
                 .kernel(kernel)
-                .threads(p.threads)
                 .seed(opts.seed)
                 .relu_after_conv(opts.relu_after_conv)
                 .build()?;
@@ -528,7 +512,6 @@ pub fn load_cached_winner(
             intermediate_buffer_bits: doc.get("intermediate_buffer_bits").and_then(Json::as_u64)?,
             extra_buffer_bits: doc.get("extra_buffer_bits").and_then(Json::as_u64)?,
             kernel,
-            threads: doc.get("threads").and_then(Json::as_usize)?,
         },
         key,
     ))
@@ -545,14 +528,12 @@ pub(crate) fn store_winner(dir: &Path, key: &str, winner: &TuneWinner) {
     }
     let text = format!(
         "{{\"version\": {WINNER_SCHEMA_VERSION}, \"key\": \"{}\", \"pattern\": \"{}\", \
-         \"intermediate_buffer_bits\": {}, \"extra_buffer_bits\": {}, \"kernel\": \"{}\", \
-         \"threads\": {}}}\n",
+         \"intermediate_buffer_bits\": {}, \"extra_buffer_bits\": {}, \"kernel\": \"{}\"}}\n",
         escape_json(key),
         winner.pattern,
         winner.intermediate_buffer_bits,
         winner.extra_buffer_bits,
-        winner.kernel.name(),
-        winner.threads
+        winner.kernel.name()
     );
     let path = dir.join(format!("{}.json", winner_file_stem(key)));
     let _ = std::fs::write(path, text);
@@ -616,7 +597,6 @@ mod tests {
         let d = cands[0];
         assert_eq!(d.pattern, BlockingPattern::hierarchical(2));
         assert_eq!(d.kernel, KernelPolicy::Auto);
-        assert_eq!(d.threads, 1);
         assert_eq!(cands.iter().filter(|c| **c == d).count(), 1);
     }
 

@@ -50,6 +50,13 @@ impl Calibrator {
         self.observations
     }
 
+    /// The largest absolute value observed so far (`0.0` before any
+    /// observation). Infinite once any observed value was `±Inf`, which no
+    /// [`QParams`] can represent.
+    pub fn abs_max(&self) -> f32 {
+        self.abs_max
+    }
+
     /// Freezes parameters using the absolute maximum seen.
     ///
     /// Returns `None` if nothing was observed or all data was zero.

@@ -98,14 +98,8 @@ fn input(seed: u64) -> Tensor {
     uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(seed))
 }
 
-fn session(backend: Backend, threads: usize) -> Session {
-    Session::builder()
-        .network(net())
-        .backend(backend)
-        .seed(2018)
-        .threads(threads)
-        .build()
-        .expect("session builds")
+fn session(backend: Backend) -> Session {
+    Session::builder().network(net()).backend(backend).seed(2018).build().expect("session builds")
 }
 
 const QUANT: Backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
@@ -114,7 +108,7 @@ const QUANT: Backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
 /// "few allocations", literally zero.
 fn assert_zero_steady_state(backend: Backend) {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let session = session(backend, 1);
+    let session = session(backend);
     let input = input(7);
     let mut scratch = ExecScratch::new();
 
@@ -166,7 +160,6 @@ fn run_with_is_allocation_free_quantized_gemm_kernel() {
         .backend(QUANT)
         .kernel(KernelPolicy::Im2colGemm)
         .seed(2018)
-        .threads(1)
         .build()
         .expect("session builds");
     assert!(
@@ -202,7 +195,7 @@ fn run_with_is_allocation_free_quantized_gemm_kernel() {
 /// proportional to the network.
 fn assert_bounded_serve(backend: Backend, workers: usize) {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let engine = session(backend, 1)
+    let engine = session(backend)
         .into_engine(ServeConfig {
             workers,
             queue_depth: 64,
@@ -284,7 +277,7 @@ fn serve_is_alloc_bounded_quantized_2_workers() {
 #[test]
 fn router_fronted_serve_is_alloc_bounded() {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let router: Router = session(Backend::Blocked, 1)
+    let router: Router = session(Backend::Blocked)
         .into_router(
             2,
             ServeConfig { workers: 1, queue_depth: 64, max_batch: 4, ..ServeConfig::default() },

@@ -138,20 +138,25 @@ fn corrupted_cache_files_fall_back_to_fresh_planning() {
     let path = cache.path_for(&key);
     assert!(path.is_file(), "expected the first build to store {}", path.display());
 
-    // Corrupt it: load reports a typed parse error, never a panic.
-    std::fs::write(&path, "{ this is not json").unwrap();
-    let err = cache.load(&key, first.graph(), PadMode::Zero, KernelPolicy::Auto, None).unwrap_err();
-    assert!(matches!(err, PlanCacheError::Parse(_)), "got {err}");
+    // Truncated garbage, and nesting deep enough to overflow the stack of
+    // a recursive parser without a depth limit.
+    for corrupt in ["{ this is not json".to_string(), "[".repeat(1_000_000)] {
+        // Corrupt it: load reports a typed parse error, never a panic.
+        std::fs::write(&path, &corrupt).unwrap();
+        let err =
+            cache.load(&key, first.graph(), PadMode::Zero, KernelPolicy::Auto, None).unwrap_err();
+        assert!(matches!(err, PlanCacheError::Parse(_)), "got {err}");
 
-    // And the builder silently re-plans fresh (and re-stores).
-    let before = planner_invocations();
-    let rebuilt = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
-    assert_eq!(planner_invocations(), before + 1, "corrupt file must force a fresh plan");
-    assert_eq!(rebuilt.plan().report().provenance, PlanProvenance::Fresh);
+        // And the builder silently re-plans fresh (and re-stores).
+        let before = planner_invocations();
+        let rebuilt = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
+        assert_eq!(planner_invocations(), before + 1, "corrupt file must force a fresh plan");
+        assert_eq!(rebuilt.plan().report().provenance, PlanProvenance::Fresh);
 
-    // The re-store healed the cache.
-    let healed = Session::builder().network(net).plan_cache(&dir).build().unwrap();
-    assert!(matches!(healed.plan().report().provenance, PlanProvenance::CacheLoaded { .. }));
+        // The re-store healed the cache.
+        let healed = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
+        assert!(matches!(healed.plan().report().provenance, PlanProvenance::CacheLoaded { .. }));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -248,7 +253,6 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
         .pattern(w.pattern)
         .cost_model(w.cost_model(topts.platform.clone(), topts.npe))
         .kernel(w.kernel)
-        .threads(w.threads)
         .build()
         .unwrap();
     let c = explicit.run(&input).unwrap();

@@ -39,7 +39,6 @@ fn builder(net: &Network, backend: Backend, seed: u64) -> SessionBuilder {
         .backend(backend)
         .pad(PadMode::Zero)
         .seed(seed)
-        .threads(1)
         .relu_after_conv(true)
 }
 
@@ -120,35 +119,6 @@ proptest! {
             }
         }
     }
-
-    /// Spliced execution is a schedule: thread count never leaks into
-    /// outputs or stats.
-    #[test]
-    fn spliced_execution_is_thread_invariant(
-        c1 in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let net = random_net(c1, 2, true);
-        let input = uniform_tensor([2, 2, 16, 16], -1.0, 1.0, &mut seeded_rng(seed ^ 0x7A1));
-        // A tight twin budget that forces a cut (and therefore a splice).
-        let budget = 150;
-        let serial = builder(&net, Backend::Blocked, seed)
-            .cost_model(accel_twin(budget, 32))
-            .build()
-            .expect("serial session");
-        prop_assert!(!serial.plan().report().splices.is_empty(), "no splice to exercise");
-        let want = serial.run(&input).expect("serial run");
-        for threads in [2usize, 8] {
-            let s = builder(&net, Backend::Blocked, seed)
-                .cost_model(accel_twin(budget, 32))
-                .threads(threads)
-                .build()
-                .expect("threaded session");
-            let got = s.run(&input).expect("threaded run");
-            prop_assert_eq!(got.output.data(), want.output.data(), "threads={}", threads);
-            prop_assert_eq!(got.stats, want.stats, "threads={}", threads);
-        }
-    }
 }
 
 /// The ISSUE acceptance scenario on vgg16_small: under a capacity that
@@ -164,14 +134,12 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
     let element = Session::builder()
         .network(net.clone())
         .seed(2018)
-        .threads(1)
         .on_chip_budget(budget)
         .build()
         .expect("element session");
     let accel = Session::builder()
         .network(net.clone())
         .seed(2018)
-        .threads(1)
         .cost_model(accel_twin(budget, 32))
         .build()
         .expect("accel session");
@@ -198,7 +166,6 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
     let qe = Session::builder()
         .network(net.clone())
         .seed(2018)
-        .threads(1)
         .backend(backend)
         .on_chip_budget(budget)
         .build()
@@ -206,7 +173,6 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
     let qa = Session::builder()
         .network(net)
         .seed(2018)
-        .threads(1)
         .backend(backend)
         .cost_model(accel_twin(budget, 8))
         .build()

@@ -12,7 +12,8 @@
 //! * the quantized backend honors the session's block-padding mode (the
 //!   original `QConv2d` bug hardcoded zero);
 //! * off-chip traffic is element-identical to the float blocked schedule
-//!   but shrinks in bits with the activation width.
+//!   but shrinks in bits with the activation width;
+//! * calibration data holding `±Inf` is a typed build error, not a panic.
 
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
@@ -21,7 +22,7 @@ use bconv_models::layer::LayerKind;
 use bconv_models::small::{vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
-use bconv_tensor::{PadMode, Tensor};
+use bconv_tensor::{PadMode, Tensor, TensorError};
 
 fn input_for(net: &Network, seed: u64) -> Tensor {
     let s = net.input;
@@ -223,4 +224,22 @@ fn quantized_segments_mirror_the_float_plan() {
         .unwrap();
     assert!(q4.plan().fusion_groups() > 0);
     assert!(q4.run(&input_for(&vgg16_small(32), 6)).is_ok());
+}
+
+#[test]
+fn infinite_calibration_data_is_a_typed_error() {
+    let net = vgg16_small(32);
+    for bad in [f32::INFINITY, f32::NEG_INFINITY] {
+        let mut t = input_for(&net, 91);
+        t.data_mut()[17] = bad;
+        let res = Session::builder()
+            .network(net.clone())
+            .backend(Backend::Quantized { weight_bits: 8, act_bits: 8 })
+            .calibration(vec![t])
+            .build();
+        assert!(
+            matches!(res, Err(TensorError::InvalidParameter { .. })),
+            "{bad} in calibration data must be rejected: {res:?}"
+        );
+    }
 }

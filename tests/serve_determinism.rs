@@ -5,10 +5,8 @@
 //! `Session::run` calls — across the Reference / Blocked / Quantized
 //! backends, 1/2/8 engine workers, and any batch-coalescing size.
 //!
-//! This is the serving analogue of the kernel/thread contract in
-//! `kernels_threads.rs`: worker count, queue timing, and batch
-//! coalescing are schedule choices and must never leak into numerics or
-//! memory accounting.
+//! Worker count, queue timing, and batch coalescing are schedule choices
+//! and must never leak into numerics or memory accounting.
 
 use bconv_graph::{Backend, ServeConfig, Session, SessionBuilder, TicketId};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
@@ -30,13 +28,12 @@ fn random_net(c1: usize, c2: usize, with_pool: bool) -> Network {
     b.build()
 }
 
-fn session(net: &Network, backend: Backend, pad: PadMode, seed: u64, threads: usize) -> Session {
+fn session(net: &Network, backend: Backend, pad: PadMode, seed: u64) -> Session {
     let b: SessionBuilder = Session::builder()
         .network(net.clone())
         .backend(backend)
         .pad(pad)
         .seed(seed)
-        .threads(threads)
         .relu_after_conv(true);
     b.build().expect("property session builds")
 }
@@ -72,13 +69,13 @@ proptest! {
         let mode = PadMode::ALL[mode_idx];
         let inputs = request_mix(seed ^ 0xBA7C);
         for backend in BACKENDS {
-            let oracle = session(&net, backend, mode, seed, 1);
+            let oracle = session(&net, backend, mode, seed);
             let want: Vec<_> = inputs
                 .iter()
                 .map(|t| oracle.run(t).expect("oracle run"))
                 .collect();
             for workers in [1usize, 2, 8] {
-                let engine = session(&net, backend, mode, seed, 1)
+                let engine = session(&net, backend, mode, seed)
                     .into_engine(ServeConfig { workers, queue_depth: 4, max_batch, ..ServeConfig::default() })
                     .expect("engine builds");
 
@@ -112,31 +109,6 @@ proptest! {
                 }
                 engine.shutdown();
             }
-        }
-    }
-
-    /// Intra-request block threading composes with serving: an engine
-    /// over a `threads(2)` blocked session still matches the serial
-    /// single-threaded oracle bitwise.
-    #[test]
-    fn engine_workers_compose_with_session_threads(
-        c1 in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let net = random_net(c1, 2, true);
-        let inputs = request_mix(seed ^ 0x7EAD);
-        let oracle = session(&net, Backend::Blocked, PadMode::Zero, seed, 1);
-        let engine = session(&net, Backend::Blocked, PadMode::Zero, seed, 2)
-            .into_engine(ServeConfig { workers: 2, queue_depth: 4, max_batch: 4, ..ServeConfig::default() })
-            .expect("engine builds");
-        let got = engine.run_batch(inputs.clone()).expect("run_batch");
-        for (i, (g, w)) in got.iter().zip(&inputs).enumerate() {
-            let want = oracle.run(w).expect("oracle run");
-            prop_assert_eq!(
-                g.output.data(), want.output.data(),
-                "req {}: threaded engine diverged from serial oracle", i
-            );
-            prop_assert_eq!(g.stats, want.stats, "req {}: stats diverged", i);
         }
     }
 }

@@ -40,12 +40,8 @@ fn random_net(c1: usize, with_pool: bool) -> Network {
 }
 
 fn session(net: &Network, backend: Backend, seed: u64) -> Session {
-    let b: SessionBuilder = Session::builder()
-        .network(net.clone())
-        .backend(backend)
-        .seed(seed)
-        .threads(1)
-        .relu_after_conv(true);
+    let b: SessionBuilder =
+        Session::builder().network(net.clone()).backend(backend).seed(seed).relu_after_conv(true);
     b.build().expect("session builds")
 }
 

@@ -28,7 +28,6 @@ fn build_session(backend: Backend) -> Session {
         .network(stress_net())
         .backend(backend)
         .seed(2018)
-        .threads(1)
         .relu_after_conv(true)
         .build()
         .unwrap()
