@@ -1,5 +1,8 @@
-//! Kernel-layer benchmark: direct vs im2col+GEMM conv kernels on the
-//! vgg16_small fused pipeline.
+//! Kernel-layer benchmark: the conv kernel policies on the vgg16_small
+//! fused pipeline — every layer forced onto the direct loop
+//! (`direct_t1`), forced onto im2col+GEMM (`gemm_t1`), and the per-layer
+//! `Auto` resolution (`auto_t1`: the plane kernel on these 3×3 stride-1
+//! layers). Every configuration must match `direct_t1` bitwise.
 //!
 //! Writes `BENCH_kernels.json` (machine-readable, one entry per
 //! configuration, speedups relative to the direct baseline — the seed
@@ -54,6 +57,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let configs = [
         Config { name: "direct_t1", kernel: KernelPolicy::Direct },
         Config { name: "gemm_t1", kernel: KernelPolicy::Im2colGemm },
+        Config { name: "auto_t1", kernel: KernelPolicy::Auto },
     ];
 
     let input = uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(7));

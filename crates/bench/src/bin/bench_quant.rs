@@ -10,8 +10,13 @@
 //! off-chip feature-map traffic in elements *and in bits at the activation
 //! width* — the paper's memory metric, which shrinks with bitwidth even
 //! when the element count is schedule-invariant — and the resolved conv
-//! kernel(s) the session compiled ("direct", "im2col-gemm", or a `+`-joined
-//! set when layers split).
+//! kernel(s) the session compiled ("direct", "plane", "im2col-gemm", or a
+//! `+`-joined set when layers split). Both float schedules run the plane
+//! kernel on the 3×3 stride-1 layers: whole-map convs take it as the
+//! blocked chains do, so `float_direct` vs `float_blocked` compares
+//! schedules, not kernels. On the quantized rows "plane" and
+//! "im2col-gemm" both name the integer fast path, which picks its own
+//! plane kernel or GEMM per layer shape.
 //!
 //! Latency note: quantized convolutions run the integer fast paths
 //! wherever the session's kernel policy resolves to them — the exact-f32

@@ -88,7 +88,7 @@ impl BlockConv2d {
     }
 
     /// [`plan`](Self::plan) with an explicit [`KernelPolicy`] deciding how
-    /// each block is convolved (direct loop vs im2col+GEMM).
+    /// each block is convolved (direct loop, plane or im2col+GEMM).
     ///
     /// # Errors
     ///
@@ -450,14 +450,10 @@ mod tests {
     fn packed_weights_do_not_change_blocked_output() {
         let conv = random_conv(3, 8, 3, 21);
         let input = uniform_tensor([1, 3, 16, 16], -1.0, 1.0, &mut seeded_rng(22));
-        let plain = BlockConv2d::from_pattern(
-            conv.clone(),
-            16,
-            16,
-            BlockingPattern::hierarchical(2),
-            PadMode::Zero,
-        )
-        .unwrap();
+        let grid = BlockGrid::from_pattern(16, 16, BlockingPattern::hierarchical(2)).unwrap();
+        let plain =
+            BlockConv2d::plan_with_kernel(conv, grid, PadMode::Zero, KernelPolicy::Im2colGemm)
+                .unwrap();
         let packed = plain.clone().with_packed_weights();
         assert!(packed.packed_weights().is_some());
         let a = plain.forward(&input).unwrap();
@@ -476,6 +472,16 @@ mod tests {
         )
         .unwrap()
         .with_packed_weights();
+        assert!(bconv.packed_weights().is_none());
+    }
+
+    #[test]
+    fn packing_is_skipped_for_plane_kernel() {
+        let conv = random_conv(3, 4, 3, 24);
+        let bconv = BlockConv2d::plan(conv, BlockGrid::single(8, 8), PadMode::Zero)
+            .unwrap()
+            .with_packed_weights();
+        assert_eq!(bconv.kernel(), KernelKind::Plane);
         assert!(bconv.packed_weights().is_none());
     }
 

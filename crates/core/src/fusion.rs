@@ -217,7 +217,7 @@ impl FusedChain {
     }
 
     /// [`plan`](Self::plan) with an explicit [`KernelPolicy`]: every conv
-    /// stage resolves its kernel (direct loop vs im2col+GEMM) under the
+    /// stage resolves its kernel (direct loop, plane or im2col+GEMM) under the
     /// policy at plan time, so execution carries no per-run dispatch.
     ///
     /// # Errors
@@ -291,9 +291,9 @@ impl FusedChain {
     /// [`plan_quantized`](Self::plan_quantized) with an explicit
     /// [`KernelPolicy`]: each quantized conv resolves the policy on its
     /// (geometry-identical) float layer and executes through the matching
-    /// integer kernel — the direct i64-accumulator loop or the `i16`
-    /// im2col+GEMM fast path — so `Auto` picks the integer GEMM exactly
-    /// where the float path would pick im2col+GEMM.
+    /// integer kernel — the direct i64-accumulator loop or the integer
+    /// fast path — so `Auto` takes the fast path exactly where the float
+    /// path would pick the plane kernel or im2col+GEMM.
     ///
     /// # Errors
     ///
@@ -328,7 +328,7 @@ impl FusedChain {
                     conv_idx += 1;
                     // The plan's resolved kernel drives the *integer*
                     // loops: the QuantChainOp inherits it and runs either
-                    // the direct loop or the i16 im2col+GEMM. Float weight
+                    // the direct loop or the integer fast path. Float weight
                     // packing is skipped — this plan only ever pads blocks.
                     let plan = BlockConv2d::plan_with_kernel(
                         Arc::clone(&conv),

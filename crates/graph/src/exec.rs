@@ -33,8 +33,9 @@ use bconv_core::fusion::{MemStats, PipelineScratch};
 use bconv_quant::qconv::QConvScratch;
 use bconv_quant::qlinear::QLinearScratch;
 use bconv_tensor::activation::relu_inplace;
+use bconv_tensor::conv::Conv2d;
 use bconv_tensor::elementwise::add_into;
-use bconv_tensor::kernel::{ConvScratch, KernelKind};
+use bconv_tensor::kernel::{ConvScratch, KernelKind, PlaneKernel};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::pool::{global_avg_pool_into, max_pool2d_into};
 use bconv_tensor::upsample::upsample_nearest_into;
@@ -103,7 +104,7 @@ impl ExecScratch {
 /// Kernel temporaries for whole-map (`Segment::Single`) node evaluation.
 #[derive(Debug, Default)]
 pub(crate) struct SingleScratch {
-    /// Float conv kernel temporaries (im2col patches etc.).
+    /// Float conv kernel temporaries (the plane accumulator).
     conv: ConvScratch,
     /// Integer conv temporaries (quantized activations).
     pub(crate) qconv: QConvScratch,
@@ -183,6 +184,17 @@ fn max_pool_padded_into(
     max_pool2d_into(padded, k, s, out)
 }
 
+/// The float kernel a whole-map conv node runs: the plane kernel on the
+/// layers it supports (3×3 stride-1), the direct loop otherwise — a whole
+/// map never builds a patch matrix.
+pub(crate) fn whole_map_kernel(conv: &Conv2d) -> KernelKind {
+    if PlaneKernel::supports(conv) {
+        KernelKind::Plane
+    } else {
+        KernelKind::Direct
+    }
+}
+
 /// Shared node evaluator: the single source of truth for what each op
 /// computes, used by every backend. Writes into `out` (reshaped to fit,
 /// every element overwritten), drawing temporaries from `scratch`.
@@ -199,7 +211,8 @@ pub(crate) fn eval_node_into(
             // padding (exactly `Conv2d::forward`), staged in scratch.
             let p = conv.geom().padding;
             pad2d_asym_into(input, p, p, p, p, PadMode::Zero, &mut scratch.padded)?;
-            conv.forward_prepadded_into(&scratch.padded, KernelKind::Direct, out, &mut scratch.conv)
+            let kernel = whole_map_kernel(conv);
+            conv.forward_prepadded_into(&scratch.padded, kernel, out, &mut scratch.conv)
         }
         NodeOp::Relu => {
             out.reset(input.shape());

@@ -67,7 +67,7 @@ pub struct PlannerOptions {
     /// the budget.
     pub budget_elems: Option<usize>,
     /// Per-layer conv kernel selection for blocked convolutions (direct
-    /// loop vs im2col+GEMM; see [`bconv_tensor::kernel`]).
+    /// loop, plane sweeps or im2col+GEMM; see [`bconv_tensor::kernel`]).
     pub kernel: KernelPolicy,
     /// Fusion cost model deciding group cuts and splices. `None` uses
     /// [`ElementBudget`] over [`Self::budget_elems`] — the planner's

@@ -143,8 +143,8 @@ impl GraphQuantSpec {
 /// Quantized backend: the blocked/fused schedule with every convolution in
 /// integer arithmetic. Fused segments execute the plan's quantized chains
 /// block by block, exactly like the float blocked backend; whole-map conv
-/// segments run dense [`QConv2d`] — through the integer im2col+GEMM fast
-/// path wherever the kernel policy picks it — with zero outer padding
+/// segments run dense [`QConv2d`] — through the integer fast path
+/// wherever the kernel policy picks it — with zero outer padding
 /// (matching the float reference's geometry padding); FC nodes run
 /// through quantized [`QLinear`]; all other whole-map ops run float.
 #[derive(Debug, Clone)]

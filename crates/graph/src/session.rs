@@ -345,8 +345,9 @@ impl SessionBuilder {
     }
 
     /// Selects the conv kernel policy for blocked convolutions (default
-    /// [`KernelPolicy::Auto`]: im2col+GEMM wherever the patch matrix pays
-    /// for itself, the direct loop for degenerate single-tap layers).
+    /// [`KernelPolicy::Auto`]: the plane kernel for 3×3 stride-1 layers,
+    /// im2col+GEMM for the rest, the direct loop for degenerate
+    /// single-tap layers).
     ///
     /// **Note:** convenience delegating to [`PlanSpec::kernel`]; prefer
     /// [`planner`](Self::planner) for new code.
@@ -640,9 +641,25 @@ impl Session {
     /// `(layer name, kernel name)` pairs. Fused and spliced convolutions
     /// report the kernel their compiled chain carries; whole-map singles
     /// report what the executor dispatches — the session policy's
-    /// resolution for quantized convs, the direct loop for float ones.
+    /// resolution for quantized convs, and for float ones the plane
+    /// kernel on 3×3 stride-1 layers, the direct loop otherwise. The
+    /// reference backend runs every conv whole-map, whatever the plan. On
+    /// the quantized backend `plane` and `im2col-gemm` both name the
+    /// integer fast path, which picks its own plane kernel or GEMM per
+    /// layer shape.
     pub fn conv_kernels(&self) -> Vec<(String, &'static str)> {
         let nodes = self.graph.nodes();
+        if self.backend == Backend::Reference {
+            return nodes
+                .iter()
+                .filter_map(|n| match &n.op {
+                    NodeOp::Conv { conv, .. } => {
+                        Some((n.name.clone(), crate::exec::whole_map_kernel(conv).name()))
+                    }
+                    _ => None,
+                })
+                .collect();
+        }
         let conv_names = |ids: &[crate::ir::NodeId]| -> Vec<String> {
             ids.iter()
                 .filter(|id| matches!(nodes[**id].op, NodeOp::Conv { .. }))
@@ -666,7 +683,7 @@ impl Session {
                     if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
                         let kind = match self.backend {
                             Backend::Quantized { .. } => self.kernel.resolve(conv),
-                            _ => bconv_tensor::kernel::KernelKind::Direct,
+                            _ => crate::exec::whole_map_kernel(conv),
                         };
                         out.push((nodes[*id].name.clone(), kind.name()));
                     }
@@ -678,9 +695,13 @@ impl Session {
 
     /// Human-readable summary of what this session will execute. The
     /// reference backend ignores the fused plan, so its description says
-    /// so rather than listing segments it won't run.
+    /// so rather than listing segments it won't run. The last line lists
+    /// each conv's kernel as [`conv_kernels`](Self::conv_kernels) reports
+    /// it.
     pub fn describe(&self) -> String {
-        match self.backend {
+        let kernels: Vec<String> =
+            self.conv_kernels().into_iter().map(|(name, k)| format!("{name}={k}")).collect();
+        let head = match self.backend {
             Backend::Reference => format!(
                 "{} on reference backend: dense layer-wise over {} nodes (fused plan unused)\n",
                 self.graph.name(),
@@ -703,7 +724,8 @@ impl Session {
                 self.exec_plan.blocking_ratio() * 100.0,
                 self.exec_plan.describe(&self.graph),
             ),
-        }
+        };
+        format!("{head}conv kernels: {}\n", kernels.join(", "))
     }
 }
 
@@ -746,6 +768,31 @@ mod tests {
         let d = s.describe();
         assert!(d.contains("blocked"), "{d}");
         assert!(d.contains("fusion groups"), "{d}");
+        assert!(d.contains("conv kernels: conv1-1=plane"), "{d}");
+    }
+
+    #[test]
+    fn conv_kernels_report_what_whole_map_convs_run() {
+        // The reference backend ignores the fused plan and its policy.
+        let s = Session::builder()
+            .network(vgg16_small(32))
+            .backend(Backend::Reference)
+            .kernel(KernelPolicy::Im2colGemm)
+            .build()
+            .unwrap();
+        assert!(s.conv_kernels().iter().all(|(_, k)| *k == "plane"), "{:?}", s.conv_kernels());
+        for backend in [Backend::Reference, Backend::Blocked] {
+            let s = Session::builder()
+                .network(vgg16_small(32))
+                .backend(backend)
+                .plan(NetworkPlan::unblocked(13))
+                .build()
+                .unwrap();
+            let kernels = s.conv_kernels();
+            assert_eq!(kernels.len(), 13);
+            assert!(kernels.iter().all(|(_, k)| *k == "plane"), "{backend:?}: {kernels:?}");
+            assert!(s.describe().contains("=plane"), "{}", s.describe());
+        }
     }
 
     #[test]

@@ -86,8 +86,10 @@ impl QConv2d {
     }
 
     /// [`from_conv`](Self::from_conv) with an explicit resolved kernel:
-    /// `KernelKind::Im2colGemm` runs the layer through the integer
-    /// im2col+GEMM fast path (bitwise identical to the direct loop).
+    /// `KernelKind::Im2colGemm` and `KernelKind::Plane` run the layer
+    /// through the integer fast path (its own plane kernel or
+    /// im2col+GEMM, chosen per layer shape; bitwise identical to the
+    /// direct loop).
     ///
     /// Returns `None` if the weights are all zero (no meaningful scale).
     pub fn from_conv_with_kernel(
@@ -259,7 +261,9 @@ impl QConv2d {
                 KernelKind::Direct => {
                     self.conv_prepadded(&padded, act_params, out, &mut scratch.act_q)
                 }
-                KernelKind::Im2colGemm => qim2col_gemm(self, &padded, act_params, out, scratch),
+                KernelKind::Im2colGemm | KernelKind::Plane => {
+                    qim2col_gemm(self, &padded, act_params, out, scratch)
+                }
             }
         });
         scratch.padded = padded;
@@ -284,7 +288,9 @@ impl QConv2d {
     ) -> Result<(), TensorError> {
         match self.kernel {
             KernelKind::Direct => self.conv_prepadded(padded, act_params, out, &mut scratch.act_q),
-            KernelKind::Im2colGemm => qim2col_gemm(self, padded, act_params, out, scratch),
+            KernelKind::Im2colGemm | KernelKind::Plane => {
+                qim2col_gemm(self, padded, act_params, out, scratch)
+            }
         }
     }
 
@@ -387,7 +393,7 @@ impl QuantChainOp {
     }
 
     /// [`from_conv`](Self::from_conv) with an explicit resolved kernel
-    /// (direct loop vs integer im2col+GEMM) for the stage.
+    /// (direct loop vs the integer fast path) for the stage.
     ///
     /// Returns `None` if the weights are all zero (no meaningful scale).
     pub fn from_conv_with_kernel(

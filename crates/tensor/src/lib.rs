@@ -10,8 +10,9 @@
 //! * [`conv`] — 2-D convolution with stride, padding and groups
 //!   (grouped convolution covers the depthwise case of MobileNet-V1);
 //! * [`kernel`] — pluggable conv kernels behind the [`ConvKernel`] trait:
-//!   the direct loop and an im2col+GEMM path with a register-blocked
-//!   sgemm, selected per layer by a [`KernelPolicy`];
+//!   the direct loop, a patch-free plane kernel for stride-1 layers and
+//!   an im2col+GEMM path with a register-blocked sgemm, selected per
+//!   layer by a [`KernelPolicy`];
 //! * [`pool`] — max / average / global-average pooling;
 //! * [`activation`], [`elementwise`], [`upsample`], [`linear`] — the rest of
 //!   the operators required by the seven networks evaluated in the paper;

@@ -1,4 +1,4 @@
-//! Property-based parity between the two conv kernels.
+//! Property-based parity between the conv kernels.
 //!
 //! The im2col+GEMM kernel must agree with the direct loop across the
 //! whole geometry space the paper's networks exercise: arbitrary
@@ -7,6 +7,9 @@
 //! practice the kernels agree bitwise (same accumulation order), and the
 //! suite asserts that too on the drawn cases so a regression in either
 //! property is caught.
+//!
+//! The plane kernel covers 3×3 stride-1 layers; its suites assert bitwise
+//! equality with the direct loop outright.
 
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
@@ -14,6 +17,7 @@ use bconv_tensor::kernel::{ConvScratch, KernelKind};
 use bconv_tensor::pad::{pad2d, PadMode};
 use bconv_tensor::Tensor;
 use proptest::prelude::*;
+use rand::Rng;
 
 /// Runs `conv` on `input` through one kernel implementation.
 fn run_kernel(kind: KernelKind, conv: &Conv2d, input: &Tensor) -> Tensor {
@@ -103,6 +107,68 @@ proptest! {
         let err = rel_err(&gemm, &direct);
         prop_assert!(err < 1e-4, "pointwise kernels diverged: rel err {err}");
         prop_assert_eq!(direct.data(), gemm.data());
+    }
+
+    /// Plane kernel, dense and grouped (including depthwise) 3×3
+    /// stride-1 layers over a batch, with non-square maps down to a
+    /// single output row or column and single-channel ends.
+    #[test]
+    fn plane_matches_direct_bitwise(
+        n in 1usize..4,
+        h in 1usize..14,
+        w in 1usize..14,
+        cpg in 1usize..4,     // input channels per group
+        mpg in 1usize..4,     // output channels per group
+        groups in 1usize..4,
+        p in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        prop_assume!(h + 2 * p >= 3 && w + 2 * p >= 3);
+        let (c_in, c_out) = (cpg * groups, mpg * groups);
+        let mut rng = seeded_rng(seed ^ 0x91A4);
+        let mut conv = he_conv2d(c_in, c_out, ConvGeom::new(3, 1, p), groups, &mut rng).unwrap();
+        for b in conv.bias_mut() {
+            *b = rng.gen_range(-0.5f32..0.5);
+        }
+        let input = uniform_tensor([n, c_in, h, w], -1.0, 1.0, &mut rng);
+        let direct = run_kernel(KernelKind::Direct, &conv, &input);
+        let plane = run_kernel(KernelKind::Plane, &conv, &input);
+        prop_assert_eq!(direct.shape(), plane.shape());
+        prop_assert_eq!(direct.data(), plane.data());
+    }
+
+    /// Plane kernel at the channel extremes: one input channel fanning out
+    /// (VDSR's first layer) or many reducing to one (its output layer),
+    /// on maps whose output is a single row or a single column.
+    #[test]
+    fn plane_matches_direct_bitwise_at_channel_extremes(
+        n in 1usize..4,
+        len in 1usize..40,
+        wide in prop::sample::select(vec![false, true]),
+        c in 1usize..20,
+        fan_out in prop::sample::select(vec![false, true]),
+        seed in 0u64..10_000,
+    ) {
+        let (c_in, c_out) = if fan_out { (1, c) } else { (c, 1) };
+        // Padded 3 × (len + 2) or (len + 2) × 3: one output row or column.
+        let (h, w) = if wide { (1, len) } else { (len, 1) };
+        let mut rng = seeded_rng(seed ^ 0x3E11);
+        let conv = he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut rng).unwrap();
+        let input = uniform_tensor([n, c_in, h, w], -1.0, 1.0, &mut rng);
+        let direct = run_kernel(KernelKind::Direct, &conv, &input);
+        let plane = run_kernel(KernelKind::Plane, &conv, &input);
+        prop_assert_eq!(direct.shape(), plane.shape());
+        prop_assert_eq!(direct.data(), plane.data());
+        // And through an unpadded valid convolution: exactly one output
+        // row or column.
+        let valid = he_conv2d(c_in, c_out, ConvGeom::new(3, 1, 0), 1, &mut rng).unwrap();
+        let (vh, vw) = if wide { (3, len + 2) } else { (len + 2, 3) };
+        let input = uniform_tensor([n, c_in, vh, vw], -1.0, 1.0, &mut rng);
+        let direct = run_kernel(KernelKind::Direct, &valid, &input);
+        let plane = run_kernel(KernelKind::Plane, &valid, &input);
+        let [_, _, oh, ow] = plane.shape().dims();
+        prop_assert_eq!(if wide { oh } else { ow }, 1);
+        prop_assert_eq!(direct.data(), plane.data());
     }
 
     /// A reused scratch carries no state between calls: convolving two

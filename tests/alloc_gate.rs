@@ -15,8 +15,13 @@
 //!   per-request ceiling on both allocation count and bytes so a
 //!   regression (say, a per-request buffer clone) fails loudly.
 //!
-//! The counting allocator is process-global, so every test serializes on
-//! one mutex and takes its before/after snapshots inside the lock.
+//! The strict tier counts only allocations made on the measuring thread
+//! (a `const`-initialised thread-local "armed" flag): `run_with` runs
+//! entirely on the calling thread, while the test harness's own threads
+//! allocate at any moment (spawning the next test, collecting results).
+//! The bounded tier must see the serve workers' allocations, so it counts
+//! process-wide; every test serializes on one mutex so that no test's
+//! work lands in another's process-wide window.
 //!
 //! This file needs `unsafe` for the `GlobalAlloc` impl — which is exactly
 //! why the workspace bans `unsafe` via per-crate `#![forbid(unsafe_code)]`
@@ -24,6 +29,7 @@
 //! would cover this test target too).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -42,19 +48,37 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The strict tier's counters: allocations made on an armed thread.
+static ARMED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static ARMED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread runs a strict-tier measurement. `const`
+    /// initialisation with no destructor: reading it never allocates, so
+    /// the allocator itself may consult it.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation event of `bytes`.
+fn record(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ARMED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ARMED_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: defers entirely to `System`; the counters are lock-free atomics
-// and touch no allocator state.
+// and a destructor-free thread-local, none of which touch allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -62,8 +86,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A growing realloc is an allocation event for gating purposes;
         // only count the growth so byte budgets stay meaningful.
         if new_size > layout.size() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size - layout.size(), Ordering::Relaxed);
+            record(new_size - layout.size());
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -76,8 +99,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Serializes tests: the counters are process-global, so concurrent tests
-/// would attribute each other's allocations.
+/// Serializes tests: the bounded tier's counters are process-global, so
+/// concurrent tests would attribute each other's allocations.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn snapshot() -> (usize, usize) {
@@ -86,6 +109,18 @@ fn snapshot() -> (usize, usize) {
 
 fn delta(before: (usize, usize)) -> (usize, usize) {
     let (a, b) = snapshot();
+    (a - before.0, b - before.1)
+}
+
+/// Runs `f` with this thread armed and returns the allocation events and
+/// bytes `f` caused on this thread alone.
+fn count_on_this_thread(f: impl FnOnce()) -> (usize, usize) {
+    let armed = || (ARMED_ALLOCS.load(Ordering::SeqCst), ARMED_BYTES.load(Ordering::SeqCst));
+    let before = armed();
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    let (a, b) = armed();
     (a - before.0, b - before.1)
 }
 
@@ -106,9 +141,7 @@ const QUANT: Backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
 
 /// Strict tier: warm `run_with` + `recycle` is allocation-free — not
 /// "few allocations", literally zero.
-fn assert_zero_steady_state(backend: Backend) {
-    let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let session = session(backend);
+fn assert_zero_steady_state(session: &Session, label: &str) {
     let input = input(7);
     let mut scratch = ExecScratch::new();
 
@@ -120,31 +153,41 @@ fn assert_zero_steady_state(backend: Backend) {
         scratch.recycle(report.output);
     }
 
-    let before = snapshot();
     let mut checksum = 0.0f32;
-    for _ in 0..8 {
-        let report = session.run_with(&input, &mut scratch).expect("measured run");
-        checksum += report.output.data()[0];
-        scratch.recycle(report.output);
-    }
-    let (allocs, bytes) = delta(before);
+    let (allocs, bytes) = count_on_this_thread(|| {
+        for _ in 0..8 {
+            let report = session.run_with(&input, &mut scratch).expect("measured run");
+            checksum += report.output.data()[0];
+            scratch.recycle(report.output);
+        }
+    });
     assert_eq!(
         (allocs, bytes),
         (0, 0),
-        "steady-state run_with must not allocate ({backend:?}): \
+        "steady-state run_with must not allocate ({label}): \
          {allocs} allocation(s), {bytes} byte(s) across 8 requests"
     );
     assert!(checksum.is_finite());
 }
 
+/// The default blocked session runs every conv through the plane kernel,
+/// so the zero bar covers its accumulator plane too.
 #[test]
 fn run_with_is_allocation_free_blocked() {
-    assert_zero_steady_state(Backend::Blocked);
+    let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let session = session(Backend::Blocked);
+    assert!(
+        session.conv_kernels().iter().all(|(_, k)| *k == "plane"),
+        "the default policy must route every 3x3 conv through the plane kernel: {:?}",
+        session.conv_kernels()
+    );
+    assert_zero_steady_state(&session, "Blocked");
 }
 
 #[test]
 fn run_with_is_allocation_free_quantized() {
-    assert_zero_steady_state(QUANT);
+    let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    assert_zero_steady_state(&session(QUANT), "Quantized");
 }
 
 /// The integer im2col+GEMM backend holds the strict-zero bar too: the
@@ -167,27 +210,7 @@ fn run_with_is_allocation_free_quantized_gemm_kernel() {
         "forcing the policy must route every conv through the integer GEMM: {:?}",
         session.conv_kernels()
     );
-    let input = input(7);
-    let mut scratch = ExecScratch::new();
-    for _ in 0..4 {
-        let report = session.run_with(&input, &mut scratch).expect("warm-up run");
-        scratch.recycle(report.output);
-    }
-    let before = snapshot();
-    let mut checksum = 0.0f32;
-    for _ in 0..8 {
-        let report = session.run_with(&input, &mut scratch).expect("measured run");
-        checksum += report.output.data()[0];
-        scratch.recycle(report.output);
-    }
-    let (allocs, bytes) = delta(before);
-    assert_eq!(
-        (allocs, bytes),
-        (0, 0),
-        "steady-state quantized-GEMM run_with must not allocate: \
-         {allocs} allocation(s), {bytes} byte(s) across 8 requests"
-    );
-    assert!(checksum.is_finite());
+    assert_zero_steady_state(&session, "quantized GEMM");
 }
 
 /// Bounded tier: a serve request may allocate its departing output tensor
