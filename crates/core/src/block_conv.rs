@@ -191,6 +191,17 @@ impl BlockConv2d {
         BlockGrid::from_segments(h, w, rows, cols)
     }
 
+    /// Output positions (`out_h × out_w`) of the grid's smallest and
+    /// largest block — the range of plane sizes a per-block kernel sees.
+    pub fn block_positions_range(&self) -> (usize, usize) {
+        let outs = |plan: &AxisPlan| {
+            let min = plan.blocks.iter().map(|b| b.out).min().unwrap_or(0);
+            (min, plan.blocks.iter().map(|b| b.out).max().unwrap_or(0))
+        };
+        let ((rmin, rmax), (cmin, cmax)) = (outs(&self.rows), outs(&self.cols));
+        (rmin * cmin, rmax * cmax)
+    }
+
     /// Convolves a single input block (already cropped out of the feature
     /// map) at grid position `(row, col)`: applies the planned block
     /// padding and the dense kernel.

@@ -515,6 +515,20 @@ impl FusedChain {
         })
     }
 
+    /// For each quantized conv stage, in order, the integer kernel
+    /// ([`QuantChainOp::int_kernel`]) that the stage's smallest and largest
+    /// blocks run. The two differ only when the grid's block sizes
+    /// straddle a kernel crossover.
+    pub fn int_kernels(&self) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
+        self.stages.iter().filter_map(|s| match s {
+            Stage::QConv { plan, op } => {
+                let (small, large) = plan.block_positions_range();
+                Some((op.int_kernel(small), op.int_kernel(large)))
+            }
+            _ => None,
+        })
+    }
+
     /// Runs a single block `(row, col)` of `input` through every stage of
     /// the chain, reusing `scratch` for all intermediates; the result is
     /// left in [`BlockScratch::output`]. Blocks are independent by

@@ -146,6 +146,12 @@ pub trait Executor: Send + Sync {
         input: &Tensor,
         scratch: &mut ExecScratch,
     ) -> Result<RunReport, TensorError>;
+
+    /// Name of the integer kernel that runs whole-map conv node `id`, for
+    /// backends with an integer path; `None` (the default) otherwise.
+    fn int_kernel(&self, _id: crate::ir::NodeId) -> Option<&'static str> {
+        None
+    }
 }
 
 /// Validates the per-element input shape against the graph.

@@ -278,6 +278,12 @@ impl Executor for QuantizedExecutor {
             },
         )
     }
+
+    fn int_kernel(&self, id: NodeId) -> Option<&'static str> {
+        let q = self.qconvs.get(id)?.as_ref()?;
+        let out = self.graph.nodes().get(id)?.out_shape;
+        Some(q.int_kernel(self.spec.act_params(id)?, out.h * out.w))
+    }
 }
 
 #[cfg(test)]

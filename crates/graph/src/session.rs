@@ -645,8 +645,9 @@ impl Session {
     /// kernel on 3×3 stride-1 layers, the direct loop otherwise. The
     /// reference backend runs every conv whole-map, whatever the plan. On
     /// the quantized backend `plane` and `im2col-gemm` both name the
-    /// integer fast path, which picks its own plane kernel or GEMM per
-    /// layer shape.
+    /// integer fast path, which picks its own lane, plane or GEMM kernel
+    /// per layer and block shape; [`int_kernels`](Self::int_kernels) names
+    /// that choice.
     pub fn conv_kernels(&self) -> Vec<(String, &'static str)> {
         let nodes = self.graph.nodes();
         if self.backend == Backend::Reference {
@@ -693,11 +694,56 @@ impl Session {
         out
     }
 
+    /// Integer kernel per conv node of a quantized session, in execution
+    /// order, as `(layer name, kernel name)` pairs; empty on the float
+    /// backends. Where [`conv_kernels`](Self::conv_kernels) names the
+    /// resolved kernel *policy*, this names what the integer fast path
+    /// actually runs for each layer's shape and frozen activation range:
+    /// `lane`, `plane`, `im2col-gemm` or `direct`. A fused stage whose
+    /// smallest and largest blocks pick different kernels reports both as
+    /// `small/large`; whole-map convs report the kernel of their full map.
+    pub fn int_kernels(&self) -> Vec<(String, String)> {
+        if !matches!(self.backend, Backend::Quantized { .. }) {
+            return Vec::new();
+        }
+        let nodes = self.graph.nodes();
+        let conv_ids = |ids: &[crate::ir::NodeId]| -> Vec<crate::ir::NodeId> {
+            ids.iter().copied().filter(|id| matches!(nodes[*id].op, NodeOp::Conv { .. })).collect()
+        };
+        let label = |(small, large): (&str, &str)| {
+            if small == large {
+                small.to_string()
+            } else {
+                format!("{small}/{large}")
+            }
+        };
+        let mut out = Vec::new();
+        for seg in self.exec_plan.segments() {
+            let (ids, kernels): (Vec<_>, Vec<_>) = match seg {
+                Segment::Fused { nodes: ids, chain, .. } => {
+                    (conv_ids(ids), chain.int_kernels().collect())
+                }
+                Segment::Spliced { nodes: ids, pipeline, .. } => (
+                    conv_ids(ids),
+                    pipeline.groups().iter().flat_map(|g| g.int_kernels()).collect(),
+                ),
+                Segment::Single(id) => {
+                    (vec![*id], self.executor.int_kernel(*id).map(|k| (k, k)).into_iter().collect())
+                }
+            };
+            out.extend(
+                ids.into_iter().zip(kernels).map(|(id, k)| (nodes[id].name.clone(), label(k))),
+            );
+        }
+        out
+    }
+
     /// Human-readable summary of what this session will execute. The
     /// reference backend ignores the fused plan, so its description says
-    /// so rather than listing segments it won't run. The last line lists
+    /// so rather than listing segments it won't run. The last lines list
     /// each conv's kernel as [`conv_kernels`](Self::conv_kernels) reports
-    /// it.
+    /// it and, for a quantized session, the integer kernel each conv runs
+    /// ([`int_kernels`](Self::int_kernels)).
     pub fn describe(&self) -> String {
         let kernels: Vec<String> =
             self.conv_kernels().into_iter().map(|(name, k)| format!("{name}={k}")).collect();
@@ -725,7 +771,14 @@ impl Session {
                 self.exec_plan.describe(&self.graph),
             ),
         };
-        format!("{head}conv kernels: {}\n", kernels.join(", "))
+        let mut text = format!("{head}conv kernels: {}\n", kernels.join(", "));
+        let int_kernels = self.int_kernels();
+        if !int_kernels.is_empty() {
+            let list: Vec<String> =
+                int_kernels.into_iter().map(|(name, k)| format!("{name}={k}")).collect();
+            text.push_str(&format!("int kernels: {}\n", list.join(", ")));
+        }
+        text
     }
 }
 
@@ -809,6 +862,42 @@ mod tests {
         let report = s.run(&Tensor::filled([1, 3, 32, 32], 0.5)).unwrap();
         assert_eq!(report.output.shape().dims(), [1, 10, 1, 1]);
         assert_eq!(report.stats.bits_per_elem, 8);
+    }
+
+    #[test]
+    fn int_kernels_name_what_the_integer_path_runs() {
+        let float = Session::builder().network(vgg16_small(64)).build().unwrap();
+        assert!(float.int_kernels().is_empty());
+        assert!(!float.describe().contains("int kernels"));
+        let q = Session::builder()
+            .network(vgg16_small(64))
+            .backend(Backend::Quantized { weight_bits: 8, act_bits: 8 })
+            .build()
+            .unwrap();
+        let kernels = q.int_kernels();
+        assert_eq!(kernels.len(), 13, "{kernels:?}");
+        // 4- and 8-channel layers cannot fill a 16-channel lane tile; the
+        // 16-channel layers run on blocks of at most 8x8 outputs.
+        for (name, k) in &kernels {
+            let want = if name.starts_with("conv1") || name.starts_with("conv2") {
+                "plane"
+            } else {
+                "lane"
+            };
+            assert_eq!(k, want, "{name}: {kernels:?}");
+        }
+        assert!(q.describe().contains("int kernels: conv1-1=plane"), "{}", q.describe());
+        // Whole-map convs report the kernel of their full map.
+        let single = Session::builder()
+            .network(vgg16_small(64))
+            .backend(Backend::Quantized { weight_bits: 8, act_bits: 8 })
+            .plan(NetworkPlan::unblocked(13))
+            .build()
+            .unwrap();
+        let kernels = single.int_kernels();
+        assert_eq!(kernels.len(), 13, "{kernels:?}");
+        assert!(kernels.iter().any(|(_, k)| k == "lane"), "{kernels:?}");
+        assert!(kernels.iter().any(|(_, k)| k == "plane"), "{kernels:?}");
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   [`qconv::QConv2d`] pads in any block-padding mode (or runs prepadded
 //!   inside fusion groups) and [`qconv::QuantChainOp`] packages one
 //!   quantized fused-chain stage with its calibrated activation range;
-//! * [`qgemm`] — the integer fast path: `i16` im2col plus a widening
-//!   `i16×i16→i32` GEMM over build-time packed weights, bitwise identical
-//!   to the direct loop;
+//! * [`qgemm`] — the integer fast path over build-time packed weights:
+//!   an output-channel-lane kernel for small 3×3 planes, an exact-f32
+//!   plane kernel for larger ones, and an `i16` im2col plus widening
+//!   `i16×i16→i32` GEMM otherwise, all bitwise identical to the direct
+//!   loop;
 //! * [`qlinear`] — quantized fully-connected layers with per-output-row
 //!   weight scales.
 //!

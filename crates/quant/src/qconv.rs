@@ -22,7 +22,7 @@ use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
 
-use crate::qgemm::{qim2col_gemm, QPackedWeights};
+use crate::qgemm::{qim2col_gemm, select_int_kernel, QPackedWeights};
 use crate::QParams;
 
 /// Reusable temporaries for quantized convolution: the padded block, the
@@ -40,7 +40,8 @@ pub struct QConvScratch {
     pub(crate) cols: Vec<i16>,
     /// Integer-valued f32 activations for the exact-f32 plane kernel.
     pub(crate) actf: Vec<f32>,
-    /// The plane kernel's padded-width accumulator plane.
+    /// The plane kernel's padded-width accumulator plane; the lane
+    /// kernel's per-tile activation patch.
     pub(crate) accf: Vec<f32>,
 }
 
@@ -143,7 +144,7 @@ impl QConv2d {
             wscales.push(params.scale());
             weight_q.extend(row.iter().map(|&v| params.quantize_value(v)));
         }
-        let packed = QPackedWeights::pack(&weight_q);
+        let packed = QPackedWeights::pack(&weight_q, dims, conv.groups(), conv.geom().stride);
         Some(Self {
             weight_q,
             weight_dims: dims,
@@ -176,6 +177,20 @@ impl QConv2d {
     /// The kernel this layer executes through.
     pub fn kernel(&self) -> KernelKind {
         self.kernel
+    }
+
+    /// Name of the integer kernel that runs this layer at activation range
+    /// `act_params` on a plane of `positions` output positions: `"direct"`
+    /// for a layer built on the direct loop, otherwise the fast path's
+    /// choice — `"lane"`, `"plane"` or `"im2col-gemm"` (see
+    /// [`crate::qgemm`] for the rule).
+    pub fn int_kernel(&self, act_params: QParams, positions: usize) -> &'static str {
+        match self.kernel {
+            KernelKind::Direct => "direct",
+            KernelKind::Im2colGemm | KernelKind::Plane => {
+                select_int_kernel(self, act_params, positions).name()
+            }
+        }
     }
 
     /// The convolution geometry (shared with the source float convolution).
@@ -414,6 +429,13 @@ impl QuantChainOp {
     /// Frozen input-activation quantization parameters.
     pub fn act_params(&self) -> QParams {
         self.act_params
+    }
+
+    /// Name of the integer kernel this stage's frozen parameters select
+    /// for a block of `positions` output positions
+    /// ([`QConv2d::int_kernel`] at the stage's activation range).
+    pub fn int_kernel(&self, positions: usize) -> &'static str {
+        self.qconv.int_kernel(self.act_params, positions)
     }
 
     /// Runs the stage on an already locally-padded block (no further

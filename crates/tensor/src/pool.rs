@@ -3,6 +3,11 @@
 //! Pooling is central to the paper twice over: the §II-F baselines replace
 //! strided convolutions with stride-1 convolution + max pooling, and fixed
 //! blocking merges adjacent blocks after every pooling layer (Figure 4a).
+//!
+//! Fused chains pool every block, so the max and average pools run row by
+//! row (see `pool2d_into`): whole output rows fold whole input rows, with
+//! the element-wise op sequence of the textbook window loop, and the
+//! VGG-style `2×2` stride-2 max pool takes a four-load fast path.
 
 use crate::shape::conv_out_dim;
 use crate::{Tensor, TensorError};
@@ -66,6 +71,11 @@ fn pool2d(input: &Tensor, k: usize, s: usize, kind: PoolKind) -> Result<Tensor, 
     Ok(out)
 }
 
+/// Row-wise pooling: each output row starts at the fold's identity (`-inf`
+/// for max, `0` for average) and folds the window's input rows into it in
+/// the same `(kh, kw)` order and with the same `max`/`+` op as a
+/// per-element loop, so every output element sees the identical op
+/// sequence (NaN and ±0 included) while the inner loop runs along a row.
 fn pool2d_into(
     input: &Tensor,
     k: usize,
@@ -77,27 +87,46 @@ fn pool2d_into(
     let oh = conv_out_dim(h, k, s, 0)?;
     let ow = conv_out_dim(w, k, s, 0)?;
     out.reset([n, c, oh, ow]);
-    for ni in 0..n {
-        for ci in 0..c {
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut acc = match kind {
-                        PoolKind::Max => f32::NEG_INFINITY,
-                        PoolKind::Avg => 0.0,
-                    };
-                    for khi in 0..k {
+    if out.data().is_empty() {
+        return Ok(());
+    }
+    let planes = input.data().chunks_exact(h * w).zip(out.data_mut().chunks_exact_mut(oh * ow));
+    for (src, dst) in planes {
+        for (ohi, orow) in dst.chunks_exact_mut(ow).enumerate() {
+            let rows = &src[ohi * s * w..(ohi * s + k) * w];
+            match kind {
+                PoolKind::Max if k == 2 && s == 2 => {
+                    let (r0, r1) = rows.split_at(w);
+                    let pairs = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+                    for (o, (a, b)) in orow.iter_mut().zip(pairs) {
+                        *o = f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]);
+                    }
+                }
+                PoolKind::Max => {
+                    orow.fill(f32::NEG_INFINITY);
+                    for row in rows.chunks_exact(w) {
                         for kwi in 0..k {
-                            let v = input.at(ni, ci, ohi * s + khi, owi * s + kwi);
-                            match kind {
-                                PoolKind::Max => acc = acc.max(v),
-                                PoolKind::Avg => acc += v,
+                            let taps = row[kwi..].iter().step_by(s);
+                            for (o, &v) in orow.iter_mut().zip(taps) {
+                                *o = o.max(v);
                             }
                         }
                     }
-                    if let PoolKind::Avg = kind {
-                        acc /= (k * k) as f32;
+                }
+                PoolKind::Avg => {
+                    orow.fill(0.0);
+                    for row in rows.chunks_exact(w) {
+                        for kwi in 0..k {
+                            let taps = row[kwi..].iter().step_by(s);
+                            for (o, &v) in orow.iter_mut().zip(taps) {
+                                *o += v;
+                            }
+                        }
                     }
-                    *out.at_mut(ni, ci, ohi, owi) = acc;
+                    let area = (k * k) as f32;
+                    for o in orow.iter_mut() {
+                        *o /= area;
+                    }
                 }
             }
         }

@@ -184,10 +184,19 @@ fn run_with_is_allocation_free_blocked() {
     assert_zero_steady_state(&session, "Blocked");
 }
 
+/// The default quantized session runs its 16-channel stages through the
+/// output-channel-lane integer kernel, so the zero bar covers its tile
+/// patch too.
 #[test]
 fn run_with_is_allocation_free_quantized() {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert_zero_steady_state(&session(QUANT), "Quantized");
+    let session = session(QUANT);
+    assert!(
+        session.int_kernels().iter().any(|(_, k)| k == "lane"),
+        "at least one quantized stage must run the lane kernel: {:?}",
+        session.int_kernels()
+    );
+    assert_zero_steady_state(&session, "Quantized");
 }
 
 /// The integer im2col+GEMM backend holds the strict-zero bar too: the
