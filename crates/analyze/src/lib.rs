@@ -15,8 +15,10 @@
 //! - **L3 no-unordered-iteration** — `HashMap`/`HashSet` in planning,
 //!   execution, and serve modules, where iteration order would make plans
 //!   or results nondeterministic.
-//! - **L4 panic-ratchet** — `unwrap()`/`expect()`/`panic!` in non-test
-//!   code, counted per file against a committed baseline that may only
+//! - **L4 panic-ratchet** — `unwrap()`/`expect()`, `panic!`, `assert!`/
+//!   `assert_eq!`/`assert_ne!`, `unreachable!`, `todo!` and
+//!   `unimplemented!` in non-test code (`debug_assert*` excluded),
+//!   counted per file against a committed baseline that may only
 //!   decrease.
 //! - **L5 lock-order** — locks held across blocking calls (`recv`/`send`/
 //!   `wait`/`join`, directly or through the call graph), relocks, and
@@ -181,9 +183,10 @@ pub fn parse_ratchet(text: &str) -> Result<BTreeMap<String, usize>, String> {
 /// Render the ratchet file from per-file counts (zero-count files omitted).
 pub fn render_ratchet(counts: &BTreeMap<String, usize>) -> String {
     let mut out = String::from(
-        "# bconv-analyze L4 panic ratchet: `unwrap()`/`expect()`/`panic!` sites in\n\
-         # non-test code, per file. CI fails if any file's count rises above its\n\
-         # baseline here. After burning sites down, regenerate with:\n\
+        "# bconv-analyze L4 panic ratchet: `unwrap()`/`expect()`, `panic!`, `assert*!`,\n\
+         # `unreachable!`, `todo!` and `unimplemented!` sites in non-test code, per\n\
+         # file. CI fails if any file's count rises above its baseline here. After\n\
+         # burning sites down, regenerate with:\n\
          #   cargo run -p bconv-analyze -- --write-ratchet\n",
     );
     for (file, count) in counts {

@@ -33,7 +33,9 @@ pub enum Lint {
     WeightDeepClone,
     /// L3: `HashMap`/`HashSet` in planning/execution/serve modules.
     UnorderedIteration,
-    /// L4: `unwrap()`/`expect()`/`panic!` in non-test code (ratcheted).
+    /// L4: `unwrap()`/`expect()`, `panic!`, the `assert*!` family,
+    /// `unreachable!`, `todo!` and `unimplemented!` in non-test code
+    /// (ratcheted).
     PanicRatchet,
     /// L5: lock held across a blocking call, relocked, or acquired in an
     /// order that conflicts with another site in the workspace.
@@ -290,6 +292,8 @@ pub fn alloc_sites(toks: &[Token], defs: &[FnDef], def: &FnDef) -> Vec<Finding> 
 }
 
 /// Match an L4 panic construct at index `i`; returns its display name.
+/// Release-mode panics only: `debug_assert*` compiles out of release
+/// builds and is not counted.
 fn panic_site_at(toks: &[Token], i: usize) -> Option<&'static str> {
     let id = toks[i].ident()?;
     let after_dot = i > 0 && toks[i - 1].is_punct('.');
@@ -299,6 +303,12 @@ fn panic_site_at(toks: &[Token], i: usize) -> Option<&'static str> {
         "unwrap" if after_dot && before_call => Some("unwrap()"),
         "expect" if after_dot && before_call => Some("expect()"),
         "panic" if before_bang => Some("panic!"),
+        "assert" if before_bang => Some("assert!"),
+        "assert_eq" if before_bang => Some("assert_eq!"),
+        "assert_ne" if before_bang => Some("assert_ne!"),
+        "unreachable" if before_bang => Some("unreachable!"),
+        "todo" if before_bang => Some("todo!"),
+        "unimplemented" if before_bang => Some("unimplemented!"),
         _ => None,
     }
 }

@@ -517,6 +517,32 @@ fn l4_counts_only_real_panic_sites() {
 }
 
 #[test]
+fn l4_counts_release_assertions_and_placeholder_macros() {
+    let src = r#"
+        fn a(n: usize) {
+            assert!(n > 0);
+            assert_eq!(n, 1, "one");
+            assert_ne!(n, 2);
+            debug_assert!(n < 9);
+            debug_assert_eq!(n, 1);
+            match n { 1 => {} _ => unreachable!("checked above") }
+            if n == 3 { todo!() } else if n == 4 { unimplemented!() }
+            let assert = 3; // bare ident, not a macro
+        }
+        #[cfg(test)]
+        mod tests {
+            fn t() { assert!(true); assert_eq!(1, 1); unreachable!(); }
+        }
+    "#;
+    let rep = scan("crates/core/src/x.rs", src);
+    let constructs: Vec<&str> = rep.panic_sites.iter().map(|f| f.construct.as_str()).collect();
+    assert_eq!(
+        constructs,
+        ["assert!", "assert_eq!", "assert_ne!", "unreachable!", "todo!", "unimplemented!"]
+    );
+}
+
+#[test]
 fn l4_attributes_sites_to_enclosing_fn() {
     let src = "fn outer() { let c = || inner.unwrap(); }";
     let rep = scan("crates/core/src/x.rs", src);

@@ -217,7 +217,13 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?}"))
+        let n = text.parse::<f64>().map_err(|_| format!("bad number {text:?}"))?;
+        // `1e999` parses to +inf; an infinite baseline would pass every
+        // `fresh > base * tol` gate, so it is malformed input here.
+        if !n.is_finite() {
+            return Err(format!("non-finite number {text:?} at byte {start}"));
+        }
+        Ok(Json::Num(n))
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -578,6 +584,14 @@ mod tests {
         assert!(Json::parse(&at_limit).is_ok());
         let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn parser_rejects_numbers_that_overflow_to_infinity() {
+        for bad in ["1e999", "-1e999", r#"{"min_us": 1e999}"#, r#"[{"offchip_bits": 2e308}]"#] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! models one such fusion group; [`FusedPipeline`] chains groups with an
 //! on-chip "extra buffer" concatenation between them (Figure 10's CONV4
 //! stage, where fixed blocking splices pooled blocks back together).
-
-use std::sync::Arc;
+//!
+//! A chain has one constructor, [`FusedChain::from_planned`]: it takes
+//! stages whose convolutions are already solved ([`PlannedOp`]) and
+//! builds float stages, or integer stages when given a weight bitwidth and
+//! calibrated activation parameters.
 
 use bconv_quant::qconv::{QConvScratch, QuantChainOp};
 use bconv_quant::QParams;
 use bconv_tensor::activation::relu_inplace;
-use bconv_tensor::conv::Conv2d;
-use bconv_tensor::kernel::KernelPolicy;
-use bconv_tensor::pad::PadMode;
 use bconv_tensor::pool::{max_pool2d, max_pool2d_into};
 use bconv_tensor::{Tensor, TensorError};
 
@@ -27,46 +27,23 @@ use crate::blocking::BlockGrid;
 const THREADS_MUST_BE_ONE: &str =
     "run_fused_into: threads must be 1 (blocks run serially on the calling thread)";
 
-/// One operation in a fusion group.
+/// One stage of a fusion group, with its convolution already solved.
 ///
-/// Convolution weights are held behind an [`Arc`]: planning a chain from
-/// a weight-bound graph shares the graph's weight tensors instead of
-/// deep-cloning them.
+/// The planner's trial walk (and the plan cache's rebuild) run
+/// [`BlockConv2d::plan_with_kernel`] to validate every candidate
+/// extension, so [`FusedChain::from_planned`] assembles the chain from
+/// those Equation 2 solutions instead of re-solving them. Each solved
+/// conv holds its weights behind an [`Arc`](std::sync::Arc), so a chain
+/// shares the graph's weight tensors instead of deep-cloning them.
 #[derive(Debug, Clone)]
-pub enum ChainOp {
-    /// A stride-1 convolution, executed as a block convolution.
-    Conv(Arc<Conv2d>),
+#[allow(clippy::large_enum_variant)] // conv stages dominate by design
+pub enum PlannedOp {
+    /// A solved stride-1 block convolution.
+    Conv(BlockConv2d),
     /// Element-wise ReLU.
     Relu,
     /// `k × k` max pooling with stride `k` (the paper's baselines replace
     /// strided convolution with stride-1 convolution + pooling, §II-F).
-    MaxPool {
-        /// Pooling window and stride.
-        k: usize,
-    },
-}
-
-impl ChainOp {
-    /// Convenience constructor wrapping a convolution (owned or shared)
-    /// into the chain.
-    pub fn conv(conv: impl Into<Arc<Conv2d>>) -> Self {
-        Self::Conv(conv.into())
-    }
-}
-
-/// A fusion-group stage whose convolution is already solved: the planner's
-/// trial walk runs [`BlockConv2d::plan_with_kernel`] to validate every
-/// candidate extension, so assembling the final chain from [`PlannedOp`]s
-/// (via [`FusedChain::from_planned`]) reuses those Equation 2 solutions
-/// instead of re-solving them.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // conv stages dominate by design
-pub enum PlannedOp {
-    /// A solved block convolution.
-    Conv(BlockConv2d),
-    /// Element-wise ReLU.
-    Relu,
-    /// `k × k` max pooling with stride `k`.
     MaxPool {
         /// Pooling window and stride.
         k: usize,
@@ -198,246 +175,69 @@ pub struct FusedChain {
 }
 
 impl FusedChain {
-    /// Plans a fusion group for inputs tiled by `grid`.
+    /// Assembles a fusion group from pre-solved stages for inputs tiled by
+    /// `in_grid`. This is the only way to build a chain.
     ///
-    /// Convolutions must be stride-1 (strided layers are expressed as
-    /// conv + pool per the paper's baseline rewrite); pooling requires the
-    /// grid to stay aligned ([`BlockGrid::downscale`]).
+    /// Each conv stage must have been solved on exactly the grid the
+    /// preceding stages produce, and must be stride-1 (strided layers are
+    /// expressed as conv + pool per the paper's baseline rewrite). Pooling
+    /// requires the grid to stay aligned ([`BlockGrid::downscale`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] when a stage cannot be
-    /// blocked under the running grid.
-    pub fn plan(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-    ) -> Result<Self, TensorError> {
-        Self::plan_with_kernel(ops, grid, pad_mode, KernelPolicy::default())
-    }
-
-    /// [`plan`](Self::plan) with an explicit [`KernelPolicy`]: every conv
-    /// stage resolves its kernel (direct loop, plane or im2col+GEMM) under the
-    /// policy at plan time, so execution carries no per-run dispatch.
+    /// Without `quant`, every conv runs in float through the kernel its
+    /// plan resolved, on packed weights. With `quant = Some((weight_bits,
+    /// act_params))`, every conv runs the integer path of
+    /// [`bconv_quant::qconv::QConv2d`] — i32 activations, i64 accumulators
+    /// — with its input requantized at the calibrated [`QParams`] of
+    /// `act_params` (one per conv, in order). The plan's resolved kernel
+    /// picks the integer kernel: the direct loop, or the integer fast path
+    /// exactly where the float path would pick the plane kernel or
+    /// im2col+GEMM. Block padding follows the plan's Equation 2 schedule
+    /// and pad mode, applied once per block.
     ///
     /// # Errors
     ///
-    /// See [`FusedChain::plan`].
-    pub fn plan_with_kernel(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-        policy: KernelPolicy,
-    ) -> Result<Self, TensorError> {
-        let in_grid = grid.clone();
-        let mut cur = grid;
-        let mut stages = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                ChainOp::Conv(conv) => {
-                    if conv.geom().stride != 1 {
-                        return Err(TensorError::invalid(
-                            "fused convolutions must be stride-1; express stride as conv + pool",
-                        ));
-                    }
-                    let bconv = BlockConv2d::plan_with_kernel(conv, cur.clone(), pad_mode, policy)?
-                        .with_packed_weights();
-                    cur = bconv.output_grid()?;
-                    stages.push(Stage::Conv(bconv));
-                }
-                ChainOp::Relu => stages.push(Stage::Relu),
-                ChainOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
-                }
-            }
-        }
-        Ok(Self { stages, in_grid, out_grid: cur })
-    }
-
-    /// Plans a **quantized** fusion group: every convolution executes
-    /// through the integer path of [`bconv_quant::qconv::QConv2d`] — i32
-    /// activations, i64 accumulators — with its input activations
-    /// requantized at the stage's calibrated parameters. Block padding
-    /// follows the same Equation 2 schedule and `pad_mode` as the float
-    /// plan, applied once per block (the quantized kernel runs prepadded).
-    ///
-    /// `act_params` holds the frozen input-activation [`QParams`] of each
-    /// [`ChainOp::Conv`], in op order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] when a stage cannot be
-    /// blocked under the running grid, when `act_params` does not cover
-    /// exactly the chain's convolutions, or when a convolution's weights
-    /// are all zero (no quantized form).
-    pub fn plan_quantized(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-        weight_bits: u8,
-        act_params: &[QParams],
-    ) -> Result<Self, TensorError> {
-        Self::plan_quantized_with_kernel(
-            ops,
-            grid,
-            pad_mode,
-            weight_bits,
-            act_params,
-            KernelPolicy::default(),
-        )
-    }
-
-    /// [`plan_quantized`](Self::plan_quantized) with an explicit
-    /// [`KernelPolicy`]: each quantized conv resolves the policy on its
-    /// (geometry-identical) float layer and executes through the matching
-    /// integer kernel — the direct i64-accumulator loop or the integer
-    /// fast path — so `Auto` takes the fast path exactly where the float
-    /// path would pick the plane kernel or im2col+GEMM.
-    ///
-    /// # Errors
-    ///
-    /// See [`FusedChain::plan_quantized`].
-    pub fn plan_quantized_with_kernel(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-        weight_bits: u8,
-        act_params: &[QParams],
-        policy: KernelPolicy,
-    ) -> Result<Self, TensorError> {
-        let in_grid = grid.clone();
-        let mut cur = grid;
-        let mut stages = Vec::with_capacity(ops.len());
-        let mut conv_idx = 0usize;
-        for op in ops {
-            match op {
-                ChainOp::Conv(conv) => {
-                    if conv.geom().stride != 1 {
-                        return Err(TensorError::invalid(
-                            "fused convolutions must be stride-1; express stride as conv + pool",
-                        ));
-                    }
-                    let params = act_params.get(conv_idx).copied().ok_or_else(|| {
-                        TensorError::invalid(format!(
-                            "plan_quantized: {} act-param sets for conv stage {}",
-                            act_params.len(),
-                            conv_idx + 1
-                        ))
-                    })?;
-                    conv_idx += 1;
-                    // The plan's resolved kernel drives the *integer*
-                    // loops: the QuantChainOp inherits it and runs either
-                    // the direct loop or the integer fast path. Float weight
-                    // packing is skipped — this plan only ever pads blocks.
-                    let plan = BlockConv2d::plan_with_kernel(
-                        Arc::clone(&conv),
-                        cur.clone(),
-                        pad_mode,
-                        policy,
-                    )?;
-                    cur = plan.output_grid()?;
-                    let op = QuantChainOp::from_conv_with_kernel(
-                        &conv,
-                        weight_bits,
-                        params,
-                        plan.kernel(),
-                    )
-                    .ok_or_else(|| TensorError::invalid("plan_quantized: all-zero conv weights"))?;
-                    stages.push(Stage::QConv { plan, op });
-                }
-                ChainOp::Relu => stages.push(Stage::Relu),
-                ChainOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
-                }
-            }
-        }
-        if conv_idx != act_params.len() {
-            return Err(TensorError::invalid(format!(
-                "plan_quantized: {} act-param sets for {} conv stages",
-                act_params.len(),
-                conv_idx
-            )));
-        }
-        Ok(Self { stages, in_grid, out_grid: cur })
-    }
-
-    /// Assembles a chain from pre-solved stages, validating grid continuity
-    /// instead of re-solving each convolution's Equation 2 padding
-    /// schedule: each conv stage must have been planned on exactly the grid
-    /// the preceding stages produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when a conv stage was planned
+    /// Returns [`TensorError::ShapeMismatch`] when a conv stage was solved
     /// on a different grid than the running one, and
-    /// [`TensorError::InvalidParameter`] when pooling misaligns the grid.
-    pub fn from_planned(ops: Vec<PlannedOp>, in_grid: BlockGrid) -> Result<Self, TensorError> {
-        let mut cur = in_grid.clone();
-        let mut stages = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                PlannedOp::Conv(bconv) => {
-                    if bconv.grid() != &cur {
-                        return Err(TensorError::shape_mismatch(
-                            "FusedChain::from_planned conv stage grid",
-                            cur.to_string(),
-                            bconv.grid().to_string(),
-                        ));
-                    }
-                    cur = bconv.output_grid()?;
-                    stages.push(Stage::Conv(bconv.with_packed_weights()));
-                }
-                PlannedOp::Relu => stages.push(Stage::Relu),
-                PlannedOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
-                }
-            }
-        }
-        Ok(Self { stages, in_grid, out_grid: cur })
-    }
-
-    /// [`from_planned`](Self::from_planned) on the quantized integer path:
-    /// each pre-solved conv plan keeps its padding schedule and grids, and
-    /// gains a [`QuantChainOp`] quantized at `weight_bits` with the stage's
-    /// calibrated input-activation [`QParams`] (one per conv, in order).
-    ///
-    /// # Errors
-    ///
-    /// As [`from_planned`](Self::from_planned), plus
-    /// [`TensorError::InvalidParameter`] when `act_params` does not cover
-    /// exactly the chain's convolutions or a convolution's weights are all
-    /// zero (no quantized form).
-    pub fn from_planned_quantized(
+    /// [`TensorError::InvalidParameter`] when a conv is strided, pooling
+    /// misaligns the grid, `act_params` does not cover exactly the chain's
+    /// convolutions, or a conv's weights are all zero (no quantized form).
+    pub fn from_planned(
         ops: Vec<PlannedOp>,
         in_grid: BlockGrid,
-        weight_bits: u8,
-        act_params: &[QParams],
+        quant: Option<(u8, &[QParams])>,
     ) -> Result<Self, TensorError> {
         let mut cur = in_grid.clone();
         let mut stages = Vec::with_capacity(ops.len());
-        let mut conv_idx = 0usize;
+        let mut convs = 0usize;
         for op in ops {
             match op {
                 PlannedOp::Conv(plan) => {
+                    if plan.conv().geom().stride != 1 {
+                        return Err(TensorError::invalid(
+                            "fused convolutions must be stride-1; express stride as conv + pool",
+                        ));
+                    }
                     if plan.grid() != &cur {
                         return Err(TensorError::shape_mismatch(
-                            "FusedChain::from_planned_quantized conv stage grid",
+                            "FusedChain::from_planned conv stage grid",
                             cur.to_string(),
                             plan.grid().to_string(),
                         ));
                     }
-                    let params = act_params.get(conv_idx).copied().ok_or_else(|| {
+                    cur = plan.output_grid()?;
+                    convs += 1;
+                    let Some((weight_bits, act_params)) = quant else {
+                        stages.push(Stage::Conv(plan.with_packed_weights()));
+                        continue;
+                    };
+                    let params = act_params.get(convs - 1).copied().ok_or_else(|| {
                         TensorError::invalid(format!(
-                            "from_planned_quantized: {} act-param sets for conv stage {}",
+                            "FusedChain::from_planned: {} act-param sets for conv stage {convs}",
                             act_params.len(),
-                            conv_idx + 1
                         ))
                     })?;
-                    conv_idx += 1;
-                    cur = plan.output_grid()?;
+                    // The quantized stage keeps the plan only to pad
+                    // blocks, so its float weights stay unpacked.
                     let op = QuantChainOp::from_conv_with_kernel(
                         plan.conv(),
                         weight_bits,
@@ -445,7 +245,7 @@ impl FusedChain {
                         plan.kernel(),
                     )
                     .ok_or_else(|| {
-                        TensorError::invalid("from_planned_quantized: all-zero conv weights")
+                        TensorError::invalid("FusedChain::from_planned: all-zero conv weights")
                     })?;
                     stages.push(Stage::QConv { plan, op });
                 }
@@ -456,12 +256,13 @@ impl FusedChain {
                 }
             }
         }
-        if conv_idx != act_params.len() {
-            return Err(TensorError::invalid(format!(
-                "from_planned_quantized: {} act-param sets for {} conv stages",
-                act_params.len(),
-                conv_idx
-            )));
+        if let Some((_, act_params)) = quant {
+            if act_params.len() != convs {
+                return Err(TensorError::invalid(format!(
+                    "FusedChain::from_planned: {} act-param sets for {convs} conv stages",
+                    act_params.len(),
+                )));
+            }
         }
         Ok(Self { stages, in_grid, out_grid: cur })
     }
@@ -892,24 +693,84 @@ impl FusedPipeline {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::blocking::BlockingPattern;
-    use bconv_tensor::conv::ConvGeom;
+    use bconv_tensor::conv::{Conv2d, ConvGeom};
     use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
+    use bconv_tensor::kernel::KernelPolicy;
+    use bconv_tensor::pad::PadMode;
 
     fn conv(c_in: usize, c_out: usize, seed: u64) -> Conv2d {
         he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut seeded_rng(seed)).unwrap()
     }
 
+    /// A chain stage before its convolution is solved.
+    #[derive(Clone)]
+    enum Op {
+        Conv(Conv2d),
+        Relu,
+        Pool(usize),
+    }
+
+    /// Solves each conv on the running grid, as the planner's trial walk
+    /// does, then assembles the chain through [`FusedChain::from_planned`].
+    fn solve(
+        ops: Vec<Op>,
+        grid: BlockGrid,
+        pad_mode: PadMode,
+        quant: Option<(u8, &[QParams])>,
+    ) -> Result<FusedChain, TensorError> {
+        let mut cur = grid.clone();
+        let mut planned = Vec::with_capacity(ops.len());
+        for op in ops {
+            planned.push(match op {
+                Op::Conv(conv) => {
+                    let bconv = BlockConv2d::plan_with_kernel(
+                        Arc::new(conv),
+                        cur.clone(),
+                        pad_mode,
+                        KernelPolicy::default(),
+                    )?;
+                    cur = bconv.output_grid()?;
+                    PlannedOp::Conv(bconv)
+                }
+                Op::Relu => PlannedOp::Relu,
+                Op::Pool(k) => {
+                    cur = cur.downscale(k)?;
+                    PlannedOp::MaxPool { k }
+                }
+            });
+        }
+        FusedChain::from_planned(planned, grid, quant)
+    }
+
+    /// A float chain.
+    fn plan(ops: Vec<Op>, grid: BlockGrid, pad_mode: PadMode) -> Result<FusedChain, TensorError> {
+        solve(ops, grid, pad_mode, None)
+    }
+
+    /// A quantized chain with one calibrated `act_params` entry per conv.
+    fn plan_quantized(
+        ops: Vec<Op>,
+        grid: BlockGrid,
+        pad_mode: PadMode,
+        weight_bits: u8,
+        act_params: &[QParams],
+    ) -> Result<FusedChain, TensorError> {
+        solve(ops, grid, pad_mode, Some((weight_bits, act_params)))
+    }
+
     fn three_layer_chain(grid: BlockGrid) -> FusedChain {
         // The Figure 2(b) scenario: three consecutive 3x3 convolutions.
-        FusedChain::plan(
+        plan(
             vec![
-                ChainOp::conv(conv(2, 4, 1)),
-                ChainOp::Relu,
-                ChainOp::conv(conv(4, 4, 2)),
-                ChainOp::Relu,
-                ChainOp::conv(conv(4, 2, 3)),
+                Op::Conv(conv(2, 4, 1)),
+                Op::Relu,
+                Op::Conv(conv(4, 4, 2)),
+                Op::Relu,
+                Op::Conv(conv(4, 2, 3)),
             ],
             grid,
             PadMode::Zero,
@@ -944,12 +805,9 @@ mod tests {
     #[test]
     fn fused_working_set_is_block_sized() {
         let grid = BlockGrid::from_pattern(16, 16, BlockingPattern::hierarchical(4)).unwrap();
-        let chain = FusedChain::plan(
-            vec![ChainOp::conv(conv(2, 2, 7)), ChainOp::conv(conv(2, 2, 8))],
-            grid,
-            PadMode::Zero,
-        )
-        .unwrap();
+        let chain =
+            plan(vec![Op::Conv(conv(2, 2, 7)), Op::Conv(conv(2, 2, 8))], grid, PadMode::Zero)
+                .unwrap();
         let input = uniform_tensor([1, 2, 16, 16], -1.0, 1.0, &mut seeded_rng(9));
         let (_, fs) = chain.run_fused(&input).unwrap();
         let (_, ls) = chain.run_layerwise(&input).unwrap();
@@ -962,13 +820,8 @@ mod tests {
     #[test]
     fn pooling_inside_a_fused_group() {
         let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
-        let chain = FusedChain::plan(
-            vec![
-                ChainOp::conv(conv(1, 2, 11)),
-                ChainOp::Relu,
-                ChainOp::MaxPool { k: 2 },
-                ChainOp::conv(conv(2, 1, 12)),
-            ],
+        let chain = plan(
+            vec![Op::Conv(conv(1, 2, 11)), Op::Relu, Op::Pool(2), Op::Conv(conv(2, 1, 12))],
             grid,
             PadMode::Zero,
         )
@@ -985,7 +838,7 @@ mod tests {
         let grid = BlockGrid::single(8, 8);
         let mut rng = seeded_rng(14);
         let strided = he_conv2d(1, 1, ConvGeom::new(3, 2, 1), 1, &mut rng).unwrap();
-        assert!(FusedChain::plan(vec![ChainOp::conv(strided)], grid, PadMode::Zero).is_err());
+        assert!(plan(vec![Op::Conv(strided)], grid, PadMode::Zero).is_err());
     }
 
     #[test]
@@ -993,16 +846,10 @@ mod tests {
         // Group 1: conv+pool under 4x4 blocks of an 16x16 map -> 8x8 map of
         // 2x2 blocks; splice into a single block for group 2 (Figure 10).
         let g1_grid = BlockGrid::from_pattern(16, 16, BlockingPattern::fixed(4)).unwrap();
-        let g1 = FusedChain::plan(
-            vec![ChainOp::conv(conv(1, 2, 21)), ChainOp::MaxPool { k: 2 }],
-            g1_grid,
-            PadMode::Zero,
-        )
-        .unwrap();
+        let g1 = plan(vec![Op::Conv(conv(1, 2, 21)), Op::Pool(2)], g1_grid, PadMode::Zero).unwrap();
         let g2_grid = g1.out_grid().clone().merge(4).unwrap();
         assert_eq!(g2_grid.num_blocks(), 1);
-        let g2 =
-            FusedChain::plan(vec![ChainOp::conv(conv(2, 1, 22))], g2_grid, PadMode::Zero).unwrap();
+        let g2 = plan(vec![Op::Conv(conv(2, 1, 22))], g2_grid, PadMode::Zero).unwrap();
         let pipeline = FusedPipeline::new(vec![g1, g2]).unwrap();
         let input = uniform_tensor([1, 1, 16, 16], -1.0, 1.0, &mut seeded_rng(23));
         let (fused, fs) = pipeline.run_fused(&input).unwrap();
@@ -1032,10 +879,11 @@ mod tests {
                 PlannedOp::Conv(b2),
             ],
             grid.clone(),
+            None,
         )
         .unwrap();
-        let solved = FusedChain::plan(
-            vec![ChainOp::Conv(c1), ChainOp::Relu, ChainOp::MaxPool { k: 2 }, ChainOp::Conv(c2)],
+        let solved = plan(
+            vec![Op::Conv(Conv2d::clone(&c1)), Op::Relu, Op::Pool(2), Op::Conv(Conv2d::clone(&c2))],
             grid,
             PadMode::Zero,
         )
@@ -1053,21 +901,30 @@ mod tests {
         let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
         let other = BlockGrid::single(8, 8);
         let bconv = BlockConv2d::plan(conv(1, 1, 64), other, PadMode::Zero).unwrap();
-        assert!(FusedChain::from_planned(vec![PlannedOp::Conv(bconv)], grid).is_err());
+        assert!(FusedChain::from_planned(vec![PlannedOp::Conv(bconv)], grid, None).is_err());
+    }
+
+    #[test]
+    fn from_planned_rejects_a_solved_strided_conv() {
+        // Equation 2 solves a stride-2 conv on a single block, but a fused
+        // chain only runs stride-1 convs, on either precision.
+        let grid = BlockGrid::single(8, 8);
+        let strided = he_conv2d(1, 1, ConvGeom::new(3, 2, 1), 1, &mut seeded_rng(15)).unwrap();
+        let bconv = BlockConv2d::plan(strided, grid.clone(), PadMode::Zero).unwrap();
+        let p = [QParams::from_abs_max(1.0, 8)];
+        for quant in [None, Some((8, &p[..]))] {
+            let err =
+                FusedChain::from_planned(vec![PlannedOp::Conv(bconv.clone())], grid.clone(), quant);
+            assert!(matches!(err, Err(TensorError::InvalidParameter { .. })), "{err:?}");
+        }
     }
 
     #[test]
     fn pipeline_scratch_reuse_is_bitwise_stable() {
         let g1_grid = BlockGrid::from_pattern(16, 16, BlockingPattern::fixed(4)).unwrap();
-        let g1 = FusedChain::plan(
-            vec![ChainOp::conv(conv(1, 2, 71)), ChainOp::MaxPool { k: 2 }],
-            g1_grid,
-            PadMode::Zero,
-        )
-        .unwrap();
+        let g1 = plan(vec![Op::Conv(conv(1, 2, 71)), Op::Pool(2)], g1_grid, PadMode::Zero).unwrap();
         let g2_grid = g1.out_grid().clone().merge(2).unwrap();
-        let g2 =
-            FusedChain::plan(vec![ChainOp::conv(conv(2, 1, 72))], g2_grid, PadMode::Zero).unwrap();
+        let g2 = plan(vec![Op::Conv(conv(2, 1, 72))], g2_grid, PadMode::Zero).unwrap();
         let pipeline = FusedPipeline::new(vec![g1, g2]).unwrap();
         let input = uniform_tensor([1, 1, 16, 16], -1.0, 1.0, &mut seeded_rng(73));
         let (serial, ss) = pipeline.run_fused(&input).unwrap();
@@ -1085,8 +942,7 @@ mod tests {
     #[test]
     fn run_fused_into_rejects_threads_other_than_one() {
         let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
-        let chain =
-            FusedChain::plan(vec![ChainOp::conv(conv(1, 1, 74))], grid, PadMode::Zero).unwrap();
+        let chain = plan(vec![Op::Conv(conv(1, 1, 74))], grid, PadMode::Zero).unwrap();
         let pipeline = FusedPipeline::new(vec![chain.clone()]).unwrap();
         let input = uniform_tensor([1, 1, 8, 8], -1.0, 1.0, &mut seeded_rng(75));
         let mut out = Tensor::default();
@@ -1114,16 +970,16 @@ mod tests {
     #[test]
     fn quantized_chain_is_schedule_invariant_and_tracks_float() {
         let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
-        let ops = vec![ChainOp::conv(conv(2, 4, 31)), ChainOp::Relu, ChainOp::conv(conv(4, 2, 32))];
+        let ops = vec![Op::Conv(conv(2, 4, 31)), Op::Relu, Op::Conv(conv(4, 2, 32))];
         let input = uniform_tensor([1, 2, 8, 8], -1.0, 1.0, &mut seeded_rng(33));
-        let float_chain = FusedChain::plan(ops.clone(), grid.clone(), PadMode::Zero).unwrap();
+        let float_chain = plan(ops.clone(), grid.clone(), PadMode::Zero).unwrap();
         assert_eq!(float_chain.act_bits(), None);
         let (float_out, fs) = float_chain.run_fused(&input).unwrap();
         // Calibrate each conv stage's input from the float path.
-        let head = FusedChain::plan(ops[..2].to_vec(), grid.clone(), PadMode::Zero).unwrap();
+        let head = plan(ops[..2].to_vec(), grid.clone(), PadMode::Zero).unwrap();
         let (mid, _) = head.run_fused(&input).unwrap();
         let params = [calibrated(&input, 8), calibrated(&mid, 8)];
-        let qchain = FusedChain::plan_quantized(ops, grid, PadMode::Zero, 8, &params).unwrap();
+        let qchain = plan_quantized(ops, grid, PadMode::Zero, 8, &params).unwrap();
         assert_eq!(qchain.act_bits(), Some(8));
         let (q_fused, qs) = qchain.run_fused(&input).unwrap();
         let (q_layer, _) = qchain.run_layerwise(&input).unwrap();
@@ -1152,22 +1008,15 @@ mod tests {
         let input = uniform_tensor([1, 1, 8, 8], 0.5, 1.0, &mut seeded_rng(36));
         let params = [calibrated(&input, 8)];
         let run = |mode| {
-            let chain = FusedChain::plan_quantized(
-                vec![ChainOp::conv(cv.clone())],
-                grid.clone(),
-                mode,
-                8,
-                &params,
-            )
-            .unwrap();
+            let chain =
+                plan_quantized(vec![Op::Conv(cv.clone())], grid.clone(), mode, 8, &params).unwrap();
             chain.run_fused(&input).unwrap().0
         };
-        let float_rep =
-            FusedChain::plan(vec![ChainOp::conv(cv.clone())], grid.clone(), PadMode::Replicate)
-                .unwrap()
-                .run_fused(&input)
-                .unwrap()
-                .0;
+        let float_rep = plan(vec![Op::Conv(cv.clone())], grid.clone(), PadMode::Replicate)
+            .unwrap()
+            .run_fused(&input)
+            .unwrap()
+            .0;
         let mag = float_rep.data().iter().fold(1e-6f32, |m, &v| m.max(v.abs()));
         let err_rep = float_rep.max_abs_diff(&run(PadMode::Replicate)).unwrap() / mag;
         let err_zero = float_rep.max_abs_diff(&run(PadMode::Zero)).unwrap() / mag;
@@ -1178,26 +1027,20 @@ mod tests {
     #[test]
     fn plan_quantized_validates_param_count() {
         let grid = BlockGrid::single(8, 8);
-        let ops = vec![ChainOp::conv(conv(2, 2, 41))];
+        let ops = vec![Op::Conv(conv(2, 2, 41))];
         let p = QParams::from_abs_max(1.0, 8);
-        assert!(
-            FusedChain::plan_quantized(ops.clone(), grid.clone(), PadMode::Zero, 8, &[]).is_err()
-        );
-        assert!(FusedChain::plan_quantized(ops, grid, PadMode::Zero, 8, &[p, p]).is_err());
+        assert!(plan_quantized(ops.clone(), grid.clone(), PadMode::Zero, 8, &[]).is_err());
+        assert!(plan_quantized(ops, grid, PadMode::Zero, 8, &[p, p]).is_err());
     }
 
     #[test]
     fn pipeline_rejects_mixed_precision_groups() {
         // One MemStats word width per pipeline: float + quantized groups
         // cannot share a run without misreporting offchip_bits.
-        let f = FusedChain::plan(
-            vec![ChainOp::conv(conv(1, 1, 51))],
-            BlockGrid::single(8, 8),
-            PadMode::Zero,
-        )
-        .unwrap();
-        let q = FusedChain::plan_quantized(
-            vec![ChainOp::conv(conv(1, 1, 52))],
+        let f =
+            plan(vec![Op::Conv(conv(1, 1, 51))], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
+        let q = plan_quantized(
+            vec![Op::Conv(conv(1, 1, 52))],
             BlockGrid::single(8, 8),
             PadMode::Zero,
             8,
@@ -1210,14 +1053,8 @@ mod tests {
 
     #[test]
     fn pipeline_rejects_mismatched_groups() {
-        let g1 = FusedChain::plan(
-            vec![ChainOp::MaxPool { k: 2 }],
-            BlockGrid::single(8, 8),
-            PadMode::Zero,
-        )
-        .unwrap();
-        let g2 =
-            FusedChain::plan(vec![ChainOp::Relu], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
+        let g1 = plan(vec![Op::Pool(2)], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
+        let g2 = plan(vec![Op::Relu], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
         assert!(FusedPipeline::new(vec![g1, g2]).is_err());
     }
 }

@@ -6,11 +6,11 @@
 //! lists, each fused group's input [`BlockGrid`] — not its solved block
 //! convolutions. Loading re-solves Equation 2 per stored grid through
 //! [`BlockConv2d::plan_with_kernel`] and reassembles chains with
-//! [`FusedChain::from_planned`] (or the quantized variant against the
-//! session's freshly calibrated spec), exactly the path the planner's own
-//! `finalize` takes — so a cache-loaded session executes bitwise
-//! identically to a freshly planned one, while skipping the planner walk
-//! entirely (asserted via [`crate::plan::planner_invocations`]).
+//! [`FusedChain::from_planned`] (on the integer path against the session's
+//! freshly calibrated spec for quantized sessions), through the same
+//! helper the planner's own `finalize` calls — so a cache-loaded session
+//! executes bitwise identically to a freshly planned one, while skipping
+//! the planner walk entirely (asserted via [`crate::plan::planner_invocations`]).
 //!
 //! Entries are keyed by [`PlanKey`]: network content hash × blocking
 //! pattern × backend × cost-model parameters × kernel policy × pad mode ×
@@ -35,8 +35,8 @@ use bconv_tensor::kernel::KernelPolicy;
 use bconv_tensor::pad::PadMode;
 
 use crate::cost::CostModel;
-use crate::ir::{Graph, NodeId, NodeOp};
-use crate::plan::{ExecPlan, PlanProvenance, PlanReport, Segment, SpliceReport};
+use crate::ir::{Graph, NodeId, NodeOp, NodeRef};
+use crate::plan::{assemble_chain, ExecPlan, PlanProvenance, PlanReport, Segment, SpliceReport};
 use crate::quantize::GraphQuantSpec;
 use crate::session::Backend;
 
@@ -722,9 +722,15 @@ fn parse_nodes(value: &Json) -> Result<Vec<NodeId>, PlanCacheError> {
 /// and input grid — the same [`BlockConv2d::plan_with_kernel`] calls the
 /// planner's trial walk made, in the same order, so the rebuilt chain is
 /// bit-identical. Returns the ops and the number of blocked convs.
+///
+/// The stored grid must tile the first node's input, and each node must
+/// be the sole consumer of the one before it — within the group, and of
+/// `joins` (the upstream group's last node) in a spliced pipeline — as
+/// the planner's walk requires.
 fn rebuild_ops(
     graph: &Graph,
     nodes: &[NodeId],
+    joins: Option<NodeId>,
     start: &BlockGrid,
     pad: PadMode,
     kernel: KernelPolicy,
@@ -732,11 +738,21 @@ fn rebuild_ops(
     let mut cur = start.clone();
     let mut ops = Vec::with_capacity(nodes.len());
     let mut convs = 0usize;
-    for &id in nodes {
+    let mut prev = joins;
+    for (i, &id) in nodes.iter().enumerate() {
         let node = graph
             .nodes()
             .get(id)
             .ok_or_else(|| PlanCacheError::Incompatible(format!("node {id} out of range")))?;
+        let fits = i > 0 || (node.in_shape.h, node.in_shape.w) == (start.h(), start.w());
+        let wired =
+            prev.is_none_or(|p| node.input == NodeRef::Node(p) && graph.consumer_count(p) == 1);
+        if !(fits && wired) {
+            return Err(PlanCacheError::Incompatible(format!(
+                "node {id} does not continue its fused group"
+            )));
+        }
+        prev = Some(id);
         match &node.op {
             NodeOp::Conv { conv, .. } => {
                 let bconv =
@@ -768,37 +784,23 @@ fn rebuild_ops(
     Ok((ops, convs))
 }
 
-/// Builds one [`FusedChain`] from rebuilt ops, on the float or quantized
-/// path to match the session backend.
+/// Builds one fused group's chain from rebuilt ops through the planner's
+/// own [`assemble_chain`], on the float or quantized path to match the
+/// session backend.
 fn rebuild_chain(
+    graph: &Graph,
     nodes: &[NodeId],
     ops: Vec<PlannedOp>,
     start: BlockGrid,
     quant: Option<&GraphQuantSpec>,
 ) -> Result<FusedChain, PlanCacheError> {
-    match quant {
-        None => FusedChain::from_planned(ops, start)
-            .map_err(|e| PlanCacheError::Incompatible(format!("chain rebuild: {e}"))),
-        Some(spec) => {
-            let mut params = Vec::new();
-            for (&id, op) in nodes.iter().zip(&ops) {
-                if matches!(op, PlannedOp::Conv(_)) {
-                    params.push(spec.act_params(id).ok_or_else(|| {
-                        PlanCacheError::Incompatible(format!(
-                            "no calibrated activation range for node {id}"
-                        ))
-                    })?);
-                }
-            }
-            FusedChain::from_planned_quantized(ops, start, spec.weight_bits, &params)
-                .map_err(|e| PlanCacheError::Incompatible(format!("chain rebuild: {e}")))
-        }
-    }
+    assemble_chain(graph, nodes, ops, start, quant)
+        .map_err(|e| PlanCacheError::Incompatible(format!("chain rebuild: {e}")))
 }
 
 /// Input reference of a segment's first node, read from the graph (the
 /// graph is the authority on wiring; the file only stores decisions).
-fn segment_input(graph: &Graph, first: NodeId) -> Result<crate::ir::NodeRef, PlanCacheError> {
+fn segment_input(graph: &Graph, first: NodeId) -> Result<NodeRef, PlanCacheError> {
     graph
         .nodes()
         .get(first)
@@ -884,6 +886,21 @@ fn rebuild_plan(
         .ok_or_else(|| PlanCacheError::Parse("missing segments".to_string()))?;
     let mut segments = Vec::with_capacity(seg_docs.len());
     let mut blocked_convs = 0usize;
+    // Segments must list every graph node once, in graph order, as the
+    // planner's walk emits them: a skipped or repeated node would run a
+    // different network.
+    let mut next_node = 0usize;
+    let mut claim = |nodes: &[NodeId]| {
+        for &id in nodes {
+            if id != next_node {
+                return Err(PlanCacheError::Incompatible(format!(
+                    "segment lists node {id} where node {next_node} runs next"
+                )));
+            }
+            next_node += 1;
+        }
+        Ok(())
+    };
     for seg in seg_docs {
         match seg.get("kind").and_then(Json::as_str) {
             Some("single") => {
@@ -891,27 +908,27 @@ fn rebuild_plan(
                     .get("node")
                     .and_then(Json::as_usize)
                     .ok_or_else(|| PlanCacheError::Parse("single missing node".to_string()))?;
-                if graph.nodes().get(id).is_none() {
-                    return Err(PlanCacheError::Incompatible(format!("node {id} out of range")));
-                }
+                claim(&[id])?;
                 segments.push(Segment::Single(id));
             }
             Some("fused") => {
                 let nodes = parse_nodes(seg)?;
+                claim(&nodes)?;
                 let first = *nodes.first().ok_or_else(|| {
                     PlanCacheError::Parse("fused segment with no nodes".to_string())
                 })?;
                 let grid = parse_grid(seg.get("grid").ok_or_else(|| {
                     PlanCacheError::Parse("fused segment missing grid".to_string())
                 })?)?;
-                let (ops, convs) = rebuild_ops(graph, &nodes, &grid, pad, kernel)?;
+                let (ops, convs) = rebuild_ops(graph, &nodes, None, &grid, pad, kernel)?;
                 blocked_convs += convs;
-                let chain = rebuild_chain(&nodes, ops, grid, quant)?;
+                let chain = rebuild_chain(graph, &nodes, ops, grid, quant)?;
                 let input = segment_input(graph, first)?;
                 segments.push(Segment::Fused { nodes, chain, input });
             }
             Some("spliced") => {
                 let nodes = parse_nodes(seg)?;
+                claim(&nodes)?;
                 let first = *nodes.first().ok_or_else(|| {
                     PlanCacheError::Parse("spliced segment with no nodes".to_string())
                 })?;
@@ -928,14 +945,15 @@ fn rebuild_plan(
                     let span = nodes.get(cursor..cursor + len).ok_or_else(|| {
                         PlanCacheError::Parse("group lengths exceed node list".to_string())
                     })?;
+                    let joins = cursor.checked_sub(1).map(|last| nodes[last]);
                     cursor += len;
                     let grid =
                         parse_grid(g.get("grid").ok_or_else(|| {
                             PlanCacheError::Parse("group missing grid".to_string())
                         })?)?;
-                    let (ops, convs) = rebuild_ops(graph, span, &grid, pad, kernel)?;
+                    let (ops, convs) = rebuild_ops(graph, span, joins, &grid, pad, kernel)?;
                     blocked_convs += convs;
-                    groups.push(rebuild_chain(span, ops, grid, quant)?);
+                    groups.push(rebuild_chain(graph, span, ops, grid, quant)?);
                 }
                 if cursor != nodes.len() {
                     return Err(PlanCacheError::Parse(
@@ -949,6 +967,13 @@ fn rebuild_plan(
             }
             _ => return Err(PlanCacheError::Parse("unknown segment kind".to_string())),
         }
+    }
+
+    if next_node != graph.nodes().len() {
+        return Err(PlanCacheError::Incompatible(format!(
+            "segments cover {next_node} of {} nodes",
+            graph.nodes().len()
+        )));
     }
 
     let report = PlanReport {

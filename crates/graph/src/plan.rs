@@ -466,11 +466,11 @@ impl Planner {
     /// quantized integer path: the fusion-group walk (and therefore the
     /// segment structure) is identical to the float plan, but chains are
     /// built from the trial walk's solved block plans via
-    /// [`FusedChain::from_planned_quantized`] with `spec`'s weight
-    /// bitwidth and the calibrated per-node activation ranges. Splices are
-    /// taken under the same rules — every group of a quantized plan shares
-    /// the spec's activation bitwidth, so [`FusedPipeline`]'s
-    /// single-precision rule always permits them.
+    /// [`FusedChain::from_planned`] with `spec`'s weight bitwidth and the
+    /// calibrated per-node activation ranges. Splices are taken under the
+    /// same rules — every group of a quantized plan shares the spec's
+    /// activation bitwidth, so [`FusedPipeline`]'s single-precision rule
+    /// always permits them.
     ///
     /// # Errors
     ///
@@ -815,43 +815,55 @@ impl Planner {
     /// re-solving of Equation 2 padding schedules). Chains always contain
     /// at least one blocked conv (groups only open at one), so even a
     /// single-op chain must execute through the blocked path to preserve
-    /// the plan's numerics. With a quantization spec, the chain is built
-    /// on the integer path, each conv stage carrying the calibrated
-    /// activation range of its graph node.
+    /// the plan's numerics.
     fn finalize(
         chain: OpenChain,
         graph: &Graph,
         quant: Option<&GraphQuantSpec>,
     ) -> Result<WalkedSegment, TensorError> {
         debug_assert!(chain.has_blocked_conv);
-        let fused = match quant {
-            None => FusedChain::from_planned(chain.ops, chain.start_grid)?,
-            Some(spec) => {
-                let mut params = Vec::new();
-                for (&node_id, op) in chain.nodes.iter().zip(&chain.ops) {
-                    if matches!(op, PlannedOp::Conv(_)) {
-                        params.push(spec.act_params(node_id).ok_or_else(|| {
-                            TensorError::invalid(format!(
-                                "no calibrated activation range for conv node {}",
-                                graph.nodes()[node_id].name
-                            ))
-                        })?);
-                    }
-                }
-                FusedChain::from_planned_quantized(
-                    chain.ops,
-                    chain.start_grid,
-                    spec.weight_bits,
-                    &params,
-                )?
-            }
-        };
+        let fused = assemble_chain(graph, &chain.nodes, chain.ops, chain.start_grid, quant)?;
         Ok(WalkedSegment {
             seg: Segment::Fused { nodes: chain.nodes, chain: fused, input: chain.input },
             costs: Some(chain.costs),
             boundaries: Vec::new(),
         })
     }
+}
+
+/// Builds the [`FusedChain`] of the fused group `nodes` from its solved
+/// `ops`, on the float path or, with a quantization spec, on the integer
+/// path with each conv node's calibrated input-activation range. The
+/// planner and the plan cache both assemble chains here, so a cache-loaded
+/// chain is built exactly as a freshly planned one.
+///
+/// # Errors
+///
+/// [`TensorError::InvalidParameter`] when a conv node of the group has no
+/// calibrated activation range in `quant`, plus any error of
+/// [`FusedChain::from_planned`].
+pub(crate) fn assemble_chain(
+    graph: &Graph,
+    nodes: &[NodeId],
+    ops: Vec<PlannedOp>,
+    start: BlockGrid,
+    quant: Option<&GraphQuantSpec>,
+) -> Result<FusedChain, TensorError> {
+    let mut act_params = Vec::new();
+    if let Some(spec) = quant {
+        for (&id, op) in nodes.iter().zip(&ops) {
+            if matches!(op, PlannedOp::Conv(_)) {
+                act_params.push(spec.act_params(id).ok_or_else(|| {
+                    let name = graph.nodes().get(id).map_or("?", |n| n.name.as_str());
+                    TensorError::invalid(format!(
+                        "no calibrated activation range for conv node {id} ({name})"
+                    ))
+                })?);
+            }
+        }
+    }
+    let quant = quant.map(|spec| (spec.weight_bits, act_params.as_slice()));
+    FusedChain::from_planned(ops, start, quant)
 }
 
 enum Extend {

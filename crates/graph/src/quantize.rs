@@ -13,8 +13,9 @@
 //!    per-batch maxima (the Distiller-style PTQ policy).
 //! 2. **Quantized planning** ([`crate::plan::Planner::plan_quantized`]) —
 //!    the same fusion-group walk as the float plan, but chains are built
-//!    with [`bconv_core::fusion::FusedChain::plan_quantized`]: integer
-//!    convolution stages with per-stage requantization.
+//!    with [`bconv_core::fusion::FusedChain::from_planned`] given the
+//!    spec's weight bitwidth and activation ranges: integer convolution
+//!    stages with per-stage requantization.
 //! 3. **Execution** ([`QuantizedExecutor`]) — the blocked schedule; fused
 //!    groups run their quantized chains block-by-block, whole-map conv
 //!    segments run through dense [`QConv2d`], everything else (pool, FC,
@@ -140,6 +141,23 @@ impl GraphQuantSpec {
     }
 }
 
+/// Rejects an input that holds NaN or ±Inf: the integer path has no form
+/// for either, and the magic-bias quantizer would silently map them to
+/// finite numbers. The scan has no early exit, so it vectorizes, and the
+/// message is static, so the check allocates nothing on success.
+///
+/// # Errors
+///
+/// [`TensorError::InvalidParameter`] when any element is not finite.
+pub(crate) fn check_finite(input: &Tensor) -> Result<(), TensorError> {
+    if input.data().iter().fold(false, |bad, v| bad | !v.is_finite()) {
+        return Err(TensorError::invalid(
+            "quantized backend input holds NaN or Inf, which has no integer form",
+        ));
+    }
+    Ok(())
+}
+
 /// Quantized backend: the blocked/fused schedule with every convolution in
 /// integer arithmetic. Fused segments execute the plan's quantized chains
 /// block by block, exactly like the float blocked backend; whole-map conv
@@ -242,6 +260,7 @@ impl Executor for QuantizedExecutor {
         input: &Tensor,
         scratch: &mut ExecScratch,
     ) -> Result<RunReport, TensorError> {
+        check_finite(input)?;
         // The shared segment loop, with feature maps crossing the off-chip
         // boundary at the activation bitwidth (the paper's Figure 7 memory
         // accounting) and whole-map convs dispatched to dense QConv2d.

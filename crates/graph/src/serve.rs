@@ -87,6 +87,7 @@ use bconv_tensor::{Tensor, TensorError};
 
 use crate::exec::{check_input, ExecScratch, Executor, RunReport};
 use crate::ir::Graph;
+use crate::quantize::check_finite;
 use crate::session::{Backend, Session};
 
 use metrics::{MetricsCore, ServeMetrics};
@@ -466,10 +467,15 @@ impl ServeEngine {
     }
 
     /// Validates a request input: per-sample shape must match the graph,
-    /// and the batch must be non-empty (an empty batch has no ticket to
-    /// answer).
+    /// the batch must be non-empty (an empty batch has no ticket to
+    /// answer), and a quantized engine takes finite values only. Checking
+    /// finiteness here, before coalescing, keeps one bad request from
+    /// failing the requests batched with it.
     fn check_request(&self, input: &Tensor) -> Result<usize, TensorError> {
         check_input(&self.graph, input)?;
+        if matches!(self.backend, Backend::Quantized { .. }) {
+            check_finite(input)?;
+        }
         let n = input.shape().dims()[0];
         if n == 0 {
             return Err(TensorError::invalid("cannot serve an empty (batch 0) request"));

@@ -42,6 +42,12 @@ use crate::serve::{ServeConfig, ServeEngine};
 use crate::tune::{self, TuneOptions};
 
 /// Which executor backend a session compiles.
+///
+/// Non-finite inputs: the float backends (`Reference`, `Blocked`) do not
+/// check them — NaN and ±Inf flow through IEEE arithmetic like in any float
+/// program. The `Quantized` backend has no integer form for them, so
+/// [`Session::run`], [`Session::run_with`] and serving submits reject an
+/// input holding NaN or ±Inf with [`TensorError::InvalidParameter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Dense layer-wise execution (numerical/memory baseline).

@@ -7,7 +7,8 @@
 //! * a cache hit skips planning entirely — the planner-invocation
 //!   counter stays flat;
 //! * corrupted or stale cache files are rejected with a typed error and
-//!   fall back to fresh planning, never a panic;
+//!   fall back to fresh planning, never a panic — fuzzed with random bytes,
+//!   truncations and single-field mutations of valid plan files;
 //! * the tuner's winner never models more off-chip traffic than the
 //!   default configuration, and tuned builds cache their winner per host;
 //! * `Session::fork` and `Session::into_router` share the already-built
@@ -21,9 +22,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use bconv_accel::platform::zc706;
 use bconv_core::BlockingPattern;
 use bconv_graph::cache::{PlanCache, PlanCacheError, PlanKey};
-use bconv_graph::cost::ElementBudget;
+use bconv_graph::cost::{AccelCost, ElementBudget};
 use bconv_graph::tune::{tune, TuneOptions};
 use bconv_graph::{
     planner_invocations, Backend, KernelPolicy, PlanProvenance, PlanSpec, ServeConfig, Session,
@@ -352,6 +354,112 @@ proptest! {
         let a = fresh.run(&input).unwrap();
         let b = cached.run(&input).unwrap();
         prop_assert_eq!(a.output.data(), b.output.data());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Byte ranges of the unsigned integers in a JSON text, outside strings.
+fn number_spans(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let (mut spans, mut i, mut in_str) = (Vec::new(), 0, false);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if in_str => i += 1,
+            b'"' => in_str = !in_str,
+            c if !in_str && c.is_ascii_digit() => {
+                let start = i;
+                while bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                    i += 1;
+                }
+                spans.push(start..i + 1);
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    spans
+}
+
+/// One corruption of a valid stored plan, chosen by `mode` and `pick`.
+fn mutate(valid: &str, mode: usize, pick: usize, seed: u64) -> Vec<u8> {
+    match mode {
+        // Random bytes.
+        0 => {
+            let noise =
+                uniform_tensor([1, 1, 1, 1 + pick % 300], 0.0, 256.0, &mut seeded_rng(seed));
+            noise.data().iter().map(|&v| v as u8).collect()
+        }
+        // Truncation.
+        1 => valid.as_bytes()[..pick % valid.len()].to_vec(),
+        // One number (a node id, a grid start or size, a group length,
+        // the schema version, ...) changed.
+        2 => {
+            let spans = number_spans(valid);
+            let span = spans[pick % spans.len()].clone();
+            let old: u64 = valid[span.clone()].parse().unwrap();
+            let new = [old + 1, old.saturating_sub(1), 0, 2 * old + 1, 1 << 40][(pick / 7) % 5];
+            format!("{}{new}{}", &valid[..span.start], &valid[span.end..]).into_bytes()
+        }
+        // One segment or pattern kind swapped.
+        3 => {
+            let kinds: Vec<usize> =
+                valid.match_indices("\"kind\":\"").map(|(i, m)| i + m.len()).collect();
+            let at = kinds[pick % kinds.len()];
+            let end = at + valid[at..].find('"').unwrap();
+            let new = ["single", "fused", "spliced", "fixed", "hierarchical"][(pick / 7) % 5];
+            format!("{}{new}{}", &valid[..at], &valid[end..]).into_bytes()
+        }
+        // The schema version moved on.
+        _ => valid.replacen("\"version\": 1", "\"version\": 2", 1).into_bytes(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A corrupt plan file never panics the loader and never changes
+    /// results: every load ends in a typed `PlanCacheError` (and the
+    /// builder plans fresh) or in a plan whose output is bitwise identical
+    /// to the fresh plan's. Spliced plans (under `AccelCost`) and plain
+    /// fused plans are both fuzzed, on every backend.
+    #[test]
+    fn corrupt_plan_files_end_in_a_typed_error_or_the_fresh_plan(
+        mode in 0usize..5,
+        pick in 0usize..100_000,
+        seed in 0u64..1_000,
+        backend_idx in 0usize..3,
+        spliced in 0usize..2,
+    ) {
+        let _g = serial();
+        let backend = BACKENDS[backend_idx];
+        let bits = match backend {
+            Backend::Quantized { act_bits, .. } => act_bits,
+            _ => 32,
+        };
+        let net = vgg16_small(32);
+        let input = input_for(&net, seed);
+        let dir = temp_cache_dir("fuzz");
+        let build = || {
+            let b = Session::builder().network(net.clone()).backend(backend).plan_cache(&dir);
+            let b = if spliced == 1 {
+                b.cost_model(AccelCost::with_buffers(zc706(), 1500 * u64::from(bits) / 2, 1 << 24))
+            } else {
+                b
+            };
+            b.build().unwrap()
+        };
+        let fresh = build();
+        let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let valid = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, mutate(&valid, mode, pick, seed)).unwrap();
+
+        let loaded = build();
+        if matches!(loaded.plan().report().provenance, PlanProvenance::CacheLoaded { .. }) {
+            let a = fresh.run(&input).unwrap();
+            let b = loaded.run(&input).unwrap();
+            prop_assert_eq!(a.output.data(), b.output.data(), "mode {} pick {}", mode, pick);
+            prop_assert_eq!(a.stats, b.stats);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,8 @@
 //! Workspace-level property tests on cross-crate invariants.
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
-use bconv_core::fusion::{ChainOp, FusedChain};
+use bconv_core::fusion::{FusedChain, PlannedOp};
+use bconv_core::BlockConv2d;
 use bconv_graph::{Graph, LowerOptions, Planner, PlannerOptions, Segment};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::ActShape;
@@ -98,14 +99,10 @@ proptest! {
         let qconv = QConv2d::from_conv(&cv, 8).unwrap();
         let dense = qconv.forward(&input, act, PadMode::Zero).unwrap();
         let grid = BlockGrid::from_pattern(16, 16, BlockingPattern::hierarchical(g)).unwrap();
-        let chain = FusedChain::plan_quantized(
-            vec![ChainOp::conv(cv)],
-            grid.clone(),
-            PadMode::Zero,
-            8,
-            &[act],
-        )
-        .unwrap();
+        let bconv = BlockConv2d::plan(cv, grid.clone(), PadMode::Zero).unwrap();
+        let chain =
+            FusedChain::from_planned(vec![PlannedOp::Conv(bconv)], grid.clone(), Some((8, &[act])))
+                .unwrap();
         let (blocked, _) = chain.run_fused(&input).unwrap();
         prop_assert_eq!(blocked.shape(), dense.shape());
         for r in 0..grid.num_rows() {

@@ -13,11 +13,12 @@
 //!   original `QConv2d` bug hardcoded zero);
 //! * off-chip traffic is element-identical to the float blocked schedule
 //!   but shrinks in bits with the activation width;
-//! * calibration data holding `±Inf` is a typed build error, not a panic.
+//! * calibration data holding `±Inf` is a typed build error, not a panic,
+//!   and a NaN or `±Inf` input to a quantized session is a typed run error.
 
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
-use bconv_graph::{Backend, Session};
+use bconv_graph::{Backend, ExecScratch, ServeConfig, Session};
 use bconv_models::layer::LayerKind;
 use bconv_models::small::{vdsr_small, vgg16_small};
 use bconv_models::Network;
@@ -241,5 +242,50 @@ fn infinite_calibration_data_is_a_typed_error() {
             matches!(res, Err(TensorError::InvalidParameter { .. })),
             "{bad} in calibration data must be rejected: {res:?}"
         );
+    }
+}
+
+#[test]
+fn non_finite_inputs_are_typed_errors_on_the_quantized_backend() {
+    let net = vgg16_small(32);
+    let q = session(&net, Backend::Quantized { weight_bits: 8, act_bits: 8 }, PadMode::Zero, true);
+    let finite = input_for(&net, 92);
+    let expected = q.run(&finite).unwrap().output;
+    let mut scratch = ExecScratch::new();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut t = finite.clone();
+        t.data_mut()[17] = bad;
+        let run = q.run(&t);
+        assert!(matches!(run, Err(TensorError::InvalidParameter { .. })), "run {bad}: {run:?}");
+        let with = q.run_with(&t, &mut scratch);
+        assert!(matches!(with, Err(TensorError::InvalidParameter { .. })), "run_with {bad}");
+        // A failed request leaves the scratch reusable and finite inputs
+        // bitwise unchanged.
+        let again = q.run_with(&finite, &mut scratch).unwrap().output;
+        assert_eq!(again.data(), expected.data(), "after {bad}");
+    }
+
+    // Serving rejects the request at submit, before it can be coalesced
+    // with (and fail) other clients' requests.
+    let engine =
+        q.into_engine(ServeConfig { workers: 1, max_batch: 4, ..ServeConfig::default() }).unwrap();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let ok = engine.submit(finite.clone()).unwrap();
+        let mut t = finite.clone();
+        t.data_mut()[5] = bad;
+        let err = engine.submit(t).map(|_| ());
+        assert!(matches!(err, Err(TensorError::InvalidParameter { .. })), "submit {bad}");
+        assert_eq!(engine.wait(ok).unwrap().output.data(), expected.data(), "served {bad}");
+    }
+}
+
+#[test]
+fn float_backends_do_not_check_inputs_for_non_finite_values() {
+    let net = vgg16_small(32);
+    let mut t = input_for(&net, 93);
+    t.data_mut()[17] = f32::NAN;
+    for backend in [Backend::Reference, Backend::Blocked] {
+        let s = session(&net, backend, PadMode::Zero, true);
+        assert!(s.run(&t).is_ok(), "{backend:?} runs NaN input through IEEE arithmetic");
     }
 }
